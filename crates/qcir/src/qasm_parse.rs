@@ -1,7 +1,8 @@
 //! OpenQASM 2.0 parsing (the subset [`crate::qasm::to_qasm`] emits).
 //!
 //! Supports one quantum and one classical register, the gate set of
-//! [`crate::Gate`], and `measure q[i] -> c[j];` statements. Round-trips
+//! [`crate::Gate`], and `measure q[i] -> c[j];` statements (plus the
+//! whole-register broadcast `measure q -> c;`). Round-trips
 //! with the exporter, which lets circuits be stored on disk and exchanged
 //! with external toolchains.
 
@@ -158,9 +159,21 @@ pub fn parse(text: &str) -> Result<Circuit, ParseQasmError> {
         .unwrap_or_else(|| Circuit::new(num_qubits, num_clbits));
 
     for (line, stmt) in pending {
-        let gate = parse_statement(&stmt, line)?;
-        c.add(gate)
-            .map_err(|source| ParseQasmError::Circuit { line, source })?;
+        let circuit_error = |source| ParseQasmError::Circuit { line, source };
+        match stmt.strip_prefix("measure") {
+            Some(rest) => {
+                let (qubit, clbit, count) =
+                    parse_measure(rest, &stmt, line, num_qubits, num_clbits)?;
+                for i in 0..count {
+                    let gate = Gate::Measure(Qubit::new(qubit + i), crate::Clbit::new(clbit + i));
+                    c.add(gate).map_err(circuit_error)?;
+                }
+            }
+            None => {
+                c.add(parse_statement(&stmt, line)?)
+                    .map_err(circuit_error)?;
+            }
+        }
     }
     Ok(c)
 }
@@ -188,18 +201,38 @@ fn parse_operand(text: &str, register: &str) -> Option<u32> {
     t.parse().ok()
 }
 
+/// Parses the operands of `measure q[i] -> c[j]`, or of the broadcast
+/// `measure q -> c` over two whole registers of equal size, into the
+/// first qubit, the first clbit and the number of consecutive pairs to
+/// measure.
+fn parse_measure(
+    rest: &str,
+    stmt: &str,
+    line: usize,
+    num_qubits: u32,
+    num_clbits: u32,
+) -> Result<(u32, u32, u32), ParseQasmError> {
+    let malformed = || ParseQasmError::Malformed {
+        line,
+        statement: stmt.to_string(),
+    };
+    let (q, c) = rest.split_once("->").ok_or_else(malformed)?;
+    if (q.trim(), c.trim()) == ("q", "c") {
+        if num_qubits != num_clbits {
+            return Err(malformed());
+        }
+        return Ok((0, 0, num_qubits));
+    }
+    let q = parse_operand(q, "q").ok_or_else(malformed)?;
+    let c = parse_operand(c, "c").ok_or_else(malformed)?;
+    Ok((q, c, 1))
+}
+
 fn parse_statement(stmt: &str, line: usize) -> Result<Gate, ParseQasmError> {
     let malformed = || ParseQasmError::Malformed {
         line,
         statement: stmt.to_string(),
     };
-
-    if let Some(rest) = stmt.strip_prefix("measure") {
-        let (q, c) = rest.split_once("->").ok_or_else(malformed)?;
-        let q = parse_operand(q, "q").ok_or_else(malformed)?;
-        let c = parse_operand(c, "c").ok_or_else(malformed)?;
-        return Ok(Gate::Measure(Qubit::new(q), crate::Clbit::new(c)));
-    }
 
     // "name(params) operands" or "name operands".
     let (head, operands_text) = stmt.split_once(' ').ok_or_else(malformed)?;
@@ -374,6 +407,40 @@ mod tests {
     fn parses_measure() {
         let c = parse("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[1] -> c[0];").unwrap();
         assert!(c.ops()[0].is_measure());
+    }
+
+    #[test]
+    fn parses_broadcast_measure() {
+        let c = parse("OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[0];\nmeasure q -> c;").unwrap();
+        let mut expected = Circuit::new(3, 3);
+        expected.h(0).measure_all();
+        assert_eq!(c, expected);
+        // Spacing around the arrow is free, as for single-bit measures.
+        assert_eq!(
+            parse("OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[0];\nmeasure q->c;").unwrap(),
+            expected
+        );
+    }
+
+    #[test]
+    fn malformed_broadcast_measures_rejected() {
+        // Register sizes differ, or only one side is a whole register.
+        for (qreg, creg, statement) in [
+            (3, 2, "measure q -> c"),
+            (2, 3, "measure q -> c"),
+            (2, 0, "measure q -> c"),
+            (2, 2, "measure q -> c[0]"),
+        ] {
+            let text = format!("OPENQASM 2.0;\nqreg q[{qreg}];\ncreg c[{creg}];\n{statement};");
+            assert_eq!(
+                parse(&text).unwrap_err(),
+                ParseQasmError::Malformed {
+                    line: 4,
+                    statement: statement.into()
+                },
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! executes against the same plan (the per-slice noise lookup tables are
 //! built once, not per slice, and never per shot). Workers keep a
 //! thread-local [`crate::SimScratch`], so after the first slice has warmed
-//! a worker's buffers, slice execution allocates only its output `Counts`.
+//! a worker's buffers, slice execution allocates only its output `Counts`
+//! (plus, once per plan, the single-fault memo entries its shots fill —
+//! the memo belongs to the shared plan, so every slice and worker reads
+//! the entries any of them filled).
 
 use crate::pool::WorkerPool;
 use crate::{rngstream, CompiledCircuit, Counts, NoisySimulator, SimError, SimScratch};

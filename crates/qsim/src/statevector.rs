@@ -327,7 +327,12 @@ pub(crate) fn apply_z_kernel(amps: &mut [C64], bit: usize) {
 /// Samples one basis index by linear inversion over `|amp|²`, consuming
 /// exactly one `f64` draw (same scheme as [`StateVector::sample`]).
 pub(crate) fn sample_kernel<R: Rng + ?Sized>(amps: &[C64], rng: &mut R) -> usize {
-    let u: f64 = rng.gen();
+    scan_index(amps, rng.gen())
+}
+
+/// The basis index [`sample_kernel`] returns for the draw `u`: the first
+/// index whose running `|amp|²` sum exceeds `u`, else the last index.
+pub(crate) fn scan_index(amps: &[C64], u: f64) -> usize {
     let mut acc = 0.0;
     for (i, a) in amps.iter().enumerate() {
         acc += a.norm_sqr();
