@@ -27,13 +27,13 @@
 
 use edm_fleet::fleet::{Fleet, FleetConfig};
 use edm_fleet::server::{FleetServer, ServerConfig};
+use edm_serve::client::Client;
 use edm_serve::protocol::{Request, Response};
 use edm_serve::queue::Priority;
 use edm_serve::service::ServeConfig;
+use edm_serve::validate;
 use qcir::qasm;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -102,7 +102,13 @@ fn parse_args() -> Args {
             "--jobs" => out.jobs_per_client = parse_num("--jobs", value("--jobs")) as usize,
             "--shots" => out.shots = parse_num("--shots", value("--shots")),
             "--devices" => out.devices = parse_num("--devices", value("--devices")) as usize,
-            "--threads" => out.threads = Some(parse_num("--threads", value("--threads")) as usize),
+            "--threads" => {
+                let threads = Some(parse_num("--threads", value("--threads")));
+                out.threads = validate::threads(threads).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                })
+            }
             "--connect" => out.connect = Some(value("--connect")),
             "--out" => out.out = value("--out").into(),
             "--compare" => out.compare = Some(value("--compare").into()),
@@ -145,29 +151,15 @@ fn client_session(
     qasm: &str,
     failed: &AtomicBool,
 ) -> Option<(Vec<u64>, Vec<u64>)> {
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
+    let mut connection = match Client::connect(addr) {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("client {client}: connect failed: {e}");
             failed.store(true, Ordering::SeqCst);
             return None;
         }
     };
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
-    let mut line = String::new();
-    let mut exchange = |req: &Request, line: &mut String| -> Option<Response> {
-        let body = serde_json::to_string(req).expect("requests serialize");
-        if writeln!(writer, "{body}").is_err() {
-            return None;
-        }
-        line.clear();
-        match reader.read_line(line) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => serde_json::from_str(line).ok(),
-        }
-    };
+    let mut exchange = |req: &Request| connection.exchange(req).ok();
 
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut ids = Vec::with_capacity(jobs);
@@ -178,17 +170,14 @@ fn client_session(
         // Zero lost jobs: backpressure rejections are retried until the
         // queue accepts (or the deadline declares the run failed).
         let id = loop {
-            match exchange(
-                &Request::Submit {
-                    qasm: qasm.to_string(),
-                    shots,
-                    seed,
-                    priority: Priority::Normal,
-                    trace_id: 0,
-                    parent_span: 0,
-                },
-                &mut line,
-            ) {
+            match exchange(&Request::Submit {
+                qasm: qasm.to_string(),
+                shots,
+                seed,
+                priority: Priority::Normal,
+                trace_id: 0,
+                parent_span: 0,
+            }) {
                 Some(Response::Accepted { id, .. }) => break id,
                 Some(Response::Rejected { .. }) => {
                     if Instant::now() > deadline {
@@ -207,7 +196,7 @@ fn client_session(
         };
         // Poll to a terminal state.
         loop {
-            match exchange(&Request::Poll { id }, &mut line) {
+            match exchange(&Request::Poll { id }) {
                 Some(Response::Finished { .. }) => break,
                 Some(Response::Queued { .. }) => {
                     if Instant::now() > deadline {

@@ -40,7 +40,7 @@
 //! contract extended to routing.
 
 use crate::backend::DeviceBackend;
-use edm_core::{Backend, QualitySnapshot};
+use edm_core::{Backend, ControllerEvent, QualitySnapshot};
 use edm_serve::dispatch::BreakerState;
 use edm_serve::journal::JournalError;
 use edm_serve::protocol::DeviceStatus;
@@ -208,6 +208,15 @@ impl<B: Backend> DeviceSlot<B> {
     }
 }
 
+/// One line of the `--controller-log` decision log: a controller decision
+/// tagged with the device whose service made it.
+#[derive(Serialize, Deserialize)]
+struct LoggedDecision {
+    device: u64,
+    circuit: u64,
+    event: ControllerEvent,
+}
+
 /// One line of the fleet-index journal: which device a fleet-wide job id
 /// was routed to. Device journals are the source of truth for the jobs
 /// themselves; this file only restores the id → placement mapping so
@@ -232,6 +241,8 @@ pub struct Fleet<B> {
     index: Mutex<BTreeMap<u64, (usize, u64)>>,
     /// Append handle for the fleet-index journal, when journaling is on.
     index_journal: Mutex<Option<std::fs::File>>,
+    /// Append handle for the controller decision log, when one is attached.
+    controller_log: Mutex<Option<std::fs::File>>,
     next_id: AtomicU64,
     config: FleetConfig,
 }
@@ -261,6 +272,7 @@ impl<B: Backend> Fleet<B> {
             slots: Vec::new(),
             index: Mutex::new(BTreeMap::new()),
             index_journal: Mutex::new(None),
+            controller_log: Mutex::new(None),
             next_id: AtomicU64::new(1),
             config,
         }
@@ -491,7 +503,9 @@ impl<B: Backend> Fleet<B> {
     }
 
     /// Runs one `process_pending` pass on one device. Returns how many of
-    /// its requests finished.
+    /// its requests finished. The controller decisions the pass made go to
+    /// the attached [controller log](Fleet::attach_controller_log), or are
+    /// dropped (the service counters still count them).
     pub fn process_device(&self, device: usize) -> usize {
         let mut slot = self.slots[device].lock().expect("device lock poisoned");
         let before = slot.service.stats().completed;
@@ -501,6 +515,19 @@ impl<B: Backend> Fleet<B> {
             slot.completed.add(delta);
         }
         slot.refresh_gauges();
+        let decisions = slot.service.take_controller_events();
+        drop(slot);
+        if !decisions.is_empty() {
+            let lines: Vec<LoggedDecision> = decisions
+                .into_iter()
+                .map(|d| LoggedDecision {
+                    device: device as u64,
+                    circuit: d.circuit,
+                    event: d.event,
+                })
+                .collect();
+            append_json_lines(&self.controller_log, &lines);
+        }
         n
     }
 
@@ -693,24 +720,70 @@ impl<B: Backend> Fleet<B> {
     ///
     /// Best-effort by design: the device journal already holds the job
     /// itself, so losing an index line only degrades that id's polls to
-    /// `Unknown` after a restart — never loses the job. A failing disk
-    /// would fail every append, so the handle is dropped on first error.
+    /// `Unknown` after a restart — never loses the job.
     fn journal_index(&self, entry: IndexEntry) {
-        let mut guard = self
-            .index_journal
+        append_json_lines(&self.index_journal, &[entry]);
+    }
+
+    /// Appends every device's controller decisions to `path` from now on,
+    /// one JSON object per line (`{"device":I,"circuit":FP,"event":…}`),
+    /// flushed after each processing pass so the log survives a kill.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the open failure.
+    pub fn attach_controller_log(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        *self
+            .controller_log
             .lock()
-            .expect("index journal lock poisoned");
-        if let Some(file) = guard.as_mut() {
-            let line = serde_json::to_string(&entry).expect("index entries always serialize");
-            let ok = file
-                .write_all(line.as_bytes())
-                .and_then(|()| file.write_all(b"\n"))
-                .and_then(|()| file.flush())
-                .is_ok();
-            if !ok {
-                *guard = None;
-            }
+            .expect("controller log lock poisoned") = Some(file);
+        Ok(())
+    }
+}
+
+/// Appends `items` as JSON lines to `sink` when a file is attached, and
+/// flushes. Best-effort: a failing disk would fail every append, so the
+/// handle is dropped on the first error.
+fn append_json_lines<T: Serialize>(sink: &Mutex<Option<std::fs::File>>, items: &[T]) {
+    let mut guard = sink.lock().expect("log lock poisoned");
+    if let Some(file) = guard.as_mut() {
+        let mut text = String::new();
+        for item in items {
+            text.push_str(&serde_json::to_string(item).expect("log lines always serialize"));
+            text.push('\n');
         }
+        if file
+            .write_all(text.as_bytes())
+            .and_then(|()| file.flush())
+            .is_err()
+        {
+            *guard = None;
+        }
+    }
+}
+
+impl<B: Backend> Fleet<B> {
+    /// [`Fleet::synthesize`] with each device's backend passed through
+    /// `wrap` (e.g. into a fault-injecting
+    /// [`ChaosBackend`](edm_serve::dispatch::ChaosBackend)).
+    pub fn synthesize_with(
+        presets: &[(qdevice::Topology, &str)],
+        device_seed: u64,
+        config: FleetConfig,
+        mut wrap: impl FnMut(DeviceBackend) -> B,
+    ) -> Self {
+        let mut fleet = Fleet::new(config);
+        for (idx, (topology, name)) in presets.iter().enumerate() {
+            let seed = device_seed + idx as u64;
+            let device = Arc::new(DeviceModel::synthesize(topology.clone(), seed));
+            let backend = wrap(DeviceBackend::new(Arc::clone(&device)));
+            fleet.add_device(format!("{name}#{seed}"), &device, backend);
+        }
+        fleet
     }
 }
 
@@ -723,14 +796,7 @@ impl Fleet<DeviceBackend> {
         device_seed: u64,
         config: FleetConfig,
     ) -> Self {
-        let mut fleet = Fleet::new(config);
-        for (idx, (topology, name)) in presets.iter().enumerate() {
-            let seed = device_seed + idx as u64;
-            let device = Arc::new(DeviceModel::synthesize(topology.clone(), seed));
-            let backend = DeviceBackend::new(Arc::clone(&device));
-            fleet.add_device(format!("{name}#{seed}"), &device, backend);
-        }
-        fleet
+        Fleet::synthesize_with(presets, device_seed, config, |backend| backend)
     }
 }
 
@@ -1051,5 +1117,42 @@ mod tests {
             assert_eq!(status.stats.cache.invalidated, 0);
         }
         assert_eq!(fleet.bump_calibration_generation(), 2);
+    }
+
+    #[test]
+    fn controller_log_gets_every_decision_tagged_with_its_device() {
+        let mut config = small_config();
+        config.serve.controller = Some(edm_core::ControllerConfig::default());
+        let fleet = Fleet::synthesize(
+            &[
+                (presets::melbourne14(), "melbourne14"),
+                (presets::tokyo20(), "tokyo20"),
+            ],
+            42,
+            config,
+        );
+        let path = std::env::temp_dir().join(format!(
+            "edm-fleet-controller-log-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        fleet.attach_controller_log(&path).unwrap();
+        for seed in 0..3 {
+            fleet.submit(request(ghz(3), 256, seed)).unwrap();
+        }
+        fleet.process_all();
+
+        let log = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let stats = fleet.stats();
+        let counted =
+            stats.controller_swaps + stats.controller_reweights + stats.controller_recompiles;
+        assert!(counted > 0, "the controller made no decision");
+        assert_eq!(log.lines().count() as u64, counted);
+        let devices: std::collections::BTreeSet<u64> = log
+            .lines()
+            .map(|line| serde_json::from_str::<LoggedDecision>(line).unwrap().device)
+            .collect();
+        assert!(devices.iter().all(|&d| d < 2), "{devices:?}");
     }
 }

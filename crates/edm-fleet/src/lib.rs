@@ -16,11 +16,13 @@
 //!   [`RoutingPolicy::LiveIst`](fleet::RoutingPolicy)), deterministic
 //!   tie-breaking, breaker/quarantine/depth-aware failover, fleet-wide
 //!   job ids,
-//! - [`server`] — the sharded non-blocking connection layer
-//!   ([`FleetServer`](server::FleetServer)): `std::net` readiness polling
-//!   (no async runtime), per-connection framing via
-//!   [`LineFramer`](edm_serve::framing::LineFramer), write buffering with
-//!   per-connection backpressure, per-device executor threads.
+//! - [`server`] — the two transports over the one request handler
+//!   ([`handle_request`](server::handle_request)): the sharded
+//!   non-blocking TCP layer ([`FleetServer`](server::FleetServer):
+//!   `std::net` readiness polling, no async runtime, per-connection framing
+//!   via [`LineFramer`](edm_serve::framing::LineFramer), write buffering
+//!   with per-connection backpressure, per-device executor threads) and
+//!   [`serve_stdio`](server::serve_stdio), one peer on stdin/stdout.
 //!
 //! ## Determinism contract
 //!

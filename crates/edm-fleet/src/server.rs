@@ -1,6 +1,15 @@
-//! The non-blocking multi-client connection layer.
+//! The two transports of the fleet: TCP and stdio.
 //!
-//! A sharded thread-per-core readiness loop over `std::net` non-blocking
+//! Both decode frames with [`LineFramer`], answer every request through
+//! [`handle_request`] — the one `Request → Response` handler — and encode
+//! with [`encode_response`].
+//!
+//! [`serve_stdio`] (`edm-fleet --stdio`) serves one peer on stdin/stdout
+//! with no executor threads: a `Poll` first drains every device, so a
+//! single client's "submit, poll → Finished" needs no `Flush`.
+//!
+//! [`FleetServer`] is the non-blocking multi-client TCP layer: a sharded
+//! thread-per-core readiness loop over `std::net` non-blocking
 //! sockets — no async runtime, no epoll binding, just `WouldBlock` as the
 //! readiness signal. The listener is set non-blocking and shared by every
 //! shard; each shard accepts into its own connection set and then
@@ -17,10 +26,6 @@
 //! - **execution** happens on dedicated per-device executor threads that
 //!   loop `process_device`, so one device's batch never blocks another
 //!   device or any socket I/O.
-//!
-//! The single-peer `edm-serve` binary is exactly one shard of this design
-//! with stdin/stdout in place of sockets (it shares the framer and the
-//! protocol handler semantics).
 
 use crate::fleet::{Fleet, RouteError, Ticket};
 use edm_core::Backend;
@@ -83,30 +88,6 @@ impl Connection {
         }
     }
 
-    fn queue_response(&mut self, response: &Response) {
-        // A response that fails to serialize (e.g. a summary carrying a
-        // non-finite float, which serde_json rejects) must not take the
-        // whole shard down with it — the client gets an error frame and
-        // every other connection on the shard keeps running.
-        let line = serde_json::to_string(response).unwrap_or_else(|e| {
-            edm_telemetry::counter!(
-                "edm_fleet_response_serialize_errors_total",
-                "Responses that failed to serialize and were replaced by an error frame"
-            )
-            .inc();
-            serde_json::to_string(&Response::Error {
-                reason: format!("internal error: response failed to serialize: {e}"),
-            })
-            // The fallback is a plain string-only variant; if even that
-            // fails, emit a hand-built frame rather than panic.
-            .unwrap_or_else(|_| {
-                r#"{"Error":{"reason":"internal error: response failed to serialize"}}"#.into()
-            })
-        });
-        self.out.extend_from_slice(line.as_bytes());
-        self.out.push(b'\n');
-    }
-
     /// Writes as much buffered output as the socket accepts right now.
     fn flush_some(&mut self) {
         while !self.out.is_empty() {
@@ -124,6 +105,82 @@ impl Connection {
                     self.closed = true;
                     return;
                 }
+            }
+        }
+    }
+}
+
+/// Appends `response` to `out` as one JSON line, newline included.
+///
+/// A response that fails to serialize (e.g. a summary carrying a
+/// non-finite float, which serde_json rejects) must not take the server
+/// down with it: the client gets an error frame instead, and every other
+/// connection keeps running.
+pub fn encode_response(response: &Response, out: &mut Vec<u8>) {
+    let line = serde_json::to_string(response).unwrap_or_else(|e| {
+        edm_telemetry::counter!(
+            "edm_fleet_response_serialize_errors_total",
+            "Responses that failed to serialize and were replaced by an error frame"
+        )
+        .inc();
+        serde_json::to_string(&Response::Error {
+            reason: format!("internal error: response failed to serialize: {e}"),
+        })
+        // The fallback is a plain string-only variant; if even that
+        // fails, emit a hand-built frame rather than panic.
+        .unwrap_or_else(|_| {
+            r#"{"Error":{"reason":"internal error: response failed to serialize"}}"#.into()
+        })
+    });
+    out.extend_from_slice(line.as_bytes());
+    out.push(b'\n');
+}
+
+/// Serves one peer over a byte stream pair (`edm-fleet --stdio` passes
+/// stdin and stdout) until `"Shutdown"` or end of input, flushing each
+/// response as it is written.
+///
+/// Decoding, handling and encoding are the TCP connection's. The one
+/// difference: there are no executor threads, so a `Poll` first runs
+/// [`Fleet::process_all`]. `Flush` still drains explicitly.
+///
+/// # Errors
+///
+/// Propagates read and write failures.
+pub fn serve_stdio<B: Backend>(
+    fleet: &Fleet<B>,
+    mut input: impl Read,
+    mut output: impl Write,
+) -> std::io::Result<()> {
+    let mut framer = LineFramer::default();
+    let mut buf = [0u8; 8192];
+    let mut out = Vec::new();
+    loop {
+        let n = match input.read(&mut buf) {
+            Ok(0) => return Ok(()),
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        framer.feed(&buf[..n]);
+        while let Some(frame) = framer.next_frame() {
+            let (response, shutdown) = match frame_to_request(frame) {
+                Ok(None) => continue,
+                Ok(Some(request)) => {
+                    let shutdown = matches!(request, Request::Shutdown);
+                    if matches!(request, Request::Poll { .. }) {
+                        fleet.process_all();
+                    }
+                    (handle_request(fleet, request), shutdown)
+                }
+                Err(reason) => (Response::Error { reason }, false),
+            };
+            out.clear();
+            encode_response(&response, &mut out);
+            output.write_all(&out)?;
+            output.flush()?;
+            if shutdown {
+                return Ok(());
             }
         }
     }
@@ -284,15 +341,13 @@ fn shard_loop<B: Backend>(
                             Ok(None) => {}
                             Ok(Some(request)) => {
                                 if matches!(request, Request::Shutdown) {
-                                    conn.queue_response(&Response::Bye);
                                     shutdown.store(true, Ordering::SeqCst);
-                                } else {
-                                    let response = handle_request(fleet, request);
-                                    conn.queue_response(&response);
                                 }
+                                let response = handle_request(fleet, request);
+                                encode_response(&response, &mut conn.out);
                             }
                             Err(reason) => {
-                                conn.queue_response(&Response::Error { reason });
+                                encode_response(&Response::Error { reason }, &mut conn.out);
                             }
                         }
                     }
@@ -332,9 +387,9 @@ fn frame_to_request(frame: Frame) -> Result<Option<Request>, String> {
     }
 }
 
-/// Serves one request against the fleet. Mirrors the single-device
-/// binary's handler, with routing in place of direct submission; `Poll`
-/// does NOT drive processing (the executor threads own that).
+/// Serves one request against the fleet: the one handler both transports
+/// share. `Poll` does NOT drive processing (the TCP executor threads own
+/// that; [`serve_stdio`] drains before polling).
 pub fn handle_request<B: Backend>(fleet: &Fleet<B>, request: Request) -> Response {
     match request {
         Request::Submit {
@@ -444,14 +499,6 @@ pub fn handle_request<B: Backend>(fleet: &Fleet<B>, request: Request) -> Respons
 mod tests {
     use super::*;
 
-    /// A connected loopback socket to hang a `Connection` on.
-    fn loopback_connection() -> Connection {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let _accepted = listener.accept().unwrap();
-        Connection::new(stream, edm_serve::framing::DEFAULT_MAX_FRAME)
-    }
-
     #[test]
     fn unserializable_response_becomes_error_frame_not_panic() {
         // serde_json rejects non-finite floats, so a NaN top_probability
@@ -470,10 +517,10 @@ mod tests {
                 latency_ms: 3,
             },
         };
-        let mut conn = loopback_connection();
-        conn.queue_response(&poisoned);
+        let mut out = Vec::new();
+        encode_response(&poisoned, &mut out);
 
-        let line = String::from_utf8(conn.out.clone()).unwrap();
+        let line = String::from_utf8(out.clone()).unwrap();
         assert!(line.ends_with('\n'));
         let parsed: Response = serde_json::from_str(line.trim_end()).unwrap();
         match parsed {
@@ -484,8 +531,8 @@ mod tests {
         }
 
         // A healthy response still queues normally afterwards.
-        conn.queue_response(&Response::Bye);
-        let all = String::from_utf8(conn.out.clone()).unwrap();
+        encode_response(&Response::Bye, &mut out);
+        let all = String::from_utf8(out).unwrap();
         assert_eq!(all.lines().count(), 2);
     }
 }

@@ -1,20 +1,17 @@
-//! Kill-and-restart smoke test of the `edm-fleet` binary with
-//! `--journal-dir`: jobs acknowledged before a SIGKILL are replayed on
-//! their original devices by the next process, previously issued fleet
-//! ids keep resolving, and fresh ids never collide with pre-crash ones.
+//! Kill-and-restart smoke tests of the `edm-fleet` binary with
+//! `--journal-dir`, over both transports: jobs acknowledged before a
+//! SIGKILL are replayed on their original devices by the next process,
+//! previously issued fleet ids keep resolving, fresh ids never collide
+//! with pre-crash ones, and a replayed job's summary is bit-identical to
+//! an uninterrupted run.
 
-use edm_serve::protocol::{Request, Response};
-use edm_serve::queue::Priority;
+mod common;
+
+use common::{connect, exchange, ghz_submit, poll_until_done, spawn_stdio, submit};
+use edm_serve::client::Client;
+use edm_serve::protocol::{JobSummary, Request, Response};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
-
-fn ghz_qasm() -> String {
-    let mut c = qcir::Circuit::new(3, 3);
-    c.h(0).cx(0, 1).cx(1, 2).measure_all();
-    qcir::qasm::to_qasm(&c)
-}
 
 /// A running `edm-fleet` process plus the address it printed to stderr.
 struct Server {
@@ -57,66 +54,12 @@ fn spawn(journal_dir: &str) -> Server {
     }
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect to fleet server");
-        stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .expect("set read timeout");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn exchange(&mut self, request: &Request) -> Response {
-        let mut line = serde_json::to_string(request).expect("request serializes");
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.flush().expect("flush");
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed the connection unexpectedly");
-        serde_json::from_str(&line).expect("response parses")
-    }
-
-    fn submit(&mut self, shots: u64, seed: u64) -> u64 {
-        match self.exchange(&Request::Submit {
-            qasm: ghz_qasm(),
-            shots,
-            seed,
-            priority: Priority::Normal,
-            trace_id: 0,
-            parent_span: 0,
-        }) {
-            Response::Accepted { id, .. } => id,
-            other => panic!("expected Accepted, got {other:?}"),
-        }
-    }
-
-    /// Polls until the job leaves the queue; `true` iff it finished.
-    fn resolve(&mut self, id: u64) -> bool {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        loop {
-            match self.exchange(&Request::Poll { id }) {
-                Response::Finished { .. } => return true,
-                Response::Unknown { .. } => return false,
-                Response::Queued { .. } => {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "job {id} never finished"
-                    );
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                other => panic!("expected Finished/Unknown/Queued for {id}, got {other:?}"),
-            }
-        }
+/// Polls a job out of the queue; `true` iff it finished.
+fn resolve(client: &mut Client, id: u64) -> bool {
+    match poll_until_done(client, id) {
+        Response::Finished { .. } => true,
+        Response::Unknown { .. } => false,
+        other => panic!("expected Finished/Unknown/Queued for {id}, got {other:?}"),
     }
 }
 
@@ -137,8 +80,8 @@ fn killed_fleet_replays_its_journals_on_restart() {
     // all the way to completion before the kill.
     let mut server = spawn(&dir_arg);
     assert_eq!(server.recovered, 0, "an empty dir recovers nothing");
-    let mut client = Client::connect(&server.addr);
-    let ids: Vec<u64> = (0..8).map(|seed| client.submit(4096, seed)).collect();
+    let mut client = connect(&server.addr);
+    let ids: Vec<u64> = (0..8).map(|seed| submit(&mut client, 4096, seed)).collect();
     server.child.kill().expect("SIGKILL edm-fleet");
     server.child.wait().expect("reap edm-fleet");
 
@@ -149,36 +92,135 @@ fn killed_fleet_replays_its_journals_on_restart() {
         server.recovered >= 1,
         "a burst of 8 jobs cannot all have finished before the kill"
     );
-    let mut client = Client::connect(&server.addr);
-    let finished = ids.iter().filter(|&&id| client.resolve(id)).count() as u64;
+    let mut client = connect(&server.addr);
+    let finished = ids.iter().filter(|&&id| resolve(&mut client, id)).count() as u64;
     assert_eq!(
         finished, server.recovered,
         "every recovered job must finish under its pre-crash fleet id"
     );
     // The index journal also restored the id allocator: a fresh
     // submission must not collide with any pre-crash id.
-    let fresh = client.submit(64, 99);
+    let fresh = submit(&mut client, 64, 99);
     assert!(
         fresh > *ids.iter().max().unwrap(),
         "fresh id {fresh} collides with pre-crash ids {ids:?}"
     );
-    assert!(client.resolve(fresh));
-    assert!(matches!(client.exchange(&Request::Shutdown), Response::Bye));
+    assert!(resolve(&mut client, fresh));
+    assert!(matches!(
+        exchange(&mut client, &Request::Shutdown),
+        Response::Bye
+    ));
     assert!(server.child.wait().expect("edm-fleet exits").success());
 
     // Third start: everything is journaled complete, so nothing replays
     // and the old ids are gone.
     let mut server = spawn(&dir_arg);
     assert_eq!(server.recovered, 0);
-    let mut client = Client::connect(&server.addr);
+    let mut client = connect(&server.addr);
     assert!(matches!(
-        client.exchange(&Request::Poll { id: ids[0] }),
+        exchange(&mut client, &Request::Poll { id: ids[0] }),
         Response::Unknown { .. }
     ));
-    assert!(matches!(client.exchange(&Request::Shutdown), Response::Bye));
+    assert!(matches!(
+        exchange(&mut client, &Request::Shutdown),
+        Response::Bye
+    ));
     assert!(server.child.wait().expect("edm-fleet exits").success());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn send(child: &mut Child, request: &Request) {
+    let stdin = child.stdin.as_mut().expect("stdin piped");
+    let line = serde_json::to_string(request).unwrap();
+    writeln!(stdin, "{line}").expect("write request");
+}
+
+fn recv(reader: &mut impl BufRead) -> Response {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read response");
+    serde_json::from_str(&line).expect("parse response")
+}
+
+/// Runs an uninterrupted journal-less stdio session and returns job 1's
+/// summary.
+fn reference_summary() -> JobSummary {
+    let mut child = spawn_stdio(&[]);
+    let mut out = BufReader::new(child.stdout.take().expect("stdout piped"));
+    send(&mut child, &ghz_submit(512, 7));
+    assert!(matches!(recv(&mut out), Response::Accepted { id: 1, .. }));
+    send(&mut child, &Request::Poll { id: 1 });
+    let Response::Finished { id: 1, summary } = recv(&mut out) else {
+        panic!("reference run did not finish");
+    };
+    send(&mut child, &Request::Shutdown);
+    assert_eq!(recv(&mut out), Response::Bye);
+    assert!(child.wait().expect("edm-fleet exits").success());
+    summary
+}
+
+#[test]
+fn killed_stdio_server_replays_its_journal_on_restart() {
+    let dir = std::env::temp_dir().join(format!(
+        "edm-stdio-smoke-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal_arg = dir.to_str().unwrap();
+
+    let mut want = reference_summary();
+
+    // First server: accept the job, then die before ever processing it
+    // (stdio mode only runs jobs when polled). The Accepted ack proves the
+    // journal entry is on disk (the service journals before acknowledging).
+    let mut child = spawn_stdio(&["--journal-dir", journal_arg]);
+    let mut out = BufReader::new(child.stdout.take().expect("stdout piped"));
+    send(&mut child, &ghz_submit(512, 7));
+    let Response::Accepted {
+        id: 1,
+        trace_id: acked_trace,
+    } = recv(&mut out)
+    else {
+        panic!("first server did not accept the job");
+    };
+    assert_ne!(acked_trace, 0);
+    child.kill().expect("kill edm-fleet");
+    child.wait().expect("reap edm-fleet");
+
+    // Second server: replays the journal and serves the job under its
+    // original id, bit-identical to the uninterrupted run.
+    let mut child = spawn_stdio(&["--journal-dir", journal_arg]);
+    let mut out = BufReader::new(child.stdout.take().expect("stdout piped"));
+    send(&mut child, &Request::Poll { id: 1 });
+    let Response::Finished { id: 1, summary } = recv(&mut out) else {
+        panic!("restarted server did not finish the replayed job");
+    };
+    assert_eq!(
+        summary.trace_id, acked_trace,
+        "the replayed job must keep the trace id acknowledged before the crash"
+    );
+    // Trace ids are freshly drawn per process and latency is wall-clock,
+    // so both differ across runs by construction; everything else must be
+    // bit-identical.
+    want.trace_id = summary.trace_id;
+    want.latency_ms = summary.latency_ms;
+    assert_eq!(summary, want, "replay must be bit-identical");
+    send(&mut child, &Request::Shutdown);
+    assert_eq!(recv(&mut out), Response::Bye);
+    assert!(child.wait().expect("edm-fleet exits").success());
+
+    // Third start: the journal now records completion, so nothing replays
+    // and the id is unknown.
+    let mut child = spawn_stdio(&["--journal-dir", journal_arg]);
+    let mut out = BufReader::new(child.stdout.take().expect("stdout piped"));
+    send(&mut child, &Request::Poll { id: 1 });
+    assert_eq!(recv(&mut out), Response::Unknown { id: 1 });
+    send(&mut child, &Request::Shutdown);
+    assert_eq!(recv(&mut out), Response::Bye);
+    assert!(child.wait().expect("edm-fleet exits").success());
+
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

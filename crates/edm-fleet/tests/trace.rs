@@ -6,51 +6,15 @@
 //! pool's per-slice spans — must link into that one trace, retrievable
 //! afterwards through the `Trace` request by the fleet job id.
 
+mod common;
+
+use common::{connect, exchange, ghz_qasm, poll_until_done, recv};
 use edm_fleet::fleet::{Fleet, FleetConfig};
 use edm_fleet::server::{FleetServer, ServerConfig};
 use edm_serve::protocol::{Request, Response, SpanInfo};
 use edm_serve::queue::Priority;
 use edm_serve::service::ServeConfig;
 use qdevice::presets;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-
-fn ghz_qasm() -> String {
-    let mut c = qcir::Circuit::new(3, 3);
-    c.h(0).cx(0, 1).cx(1, 2).measure_all();
-    qcir::qasm::to_qasm(&c)
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect to fleet server");
-        stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("set read timeout");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn exchange(&mut self, request: &Request) -> Response {
-        let mut line = serde_json::to_string(request).expect("request serializes");
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.flush().expect("flush");
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed the connection unexpectedly");
-        serde_json::from_str(&line).expect("response parses")
-    }
-}
 
 #[test]
 fn client_stamped_trace_covers_shard_device_and_pool_slices() {
@@ -82,15 +46,16 @@ fn client_stamped_trace_covers_shard_device_and_pool_slices() {
     let client_trace: u64 = 0xA11C_E5ED_0000_0042;
     let client_span: u64 = 7_777;
 
-    let mut client = Client::connect(&addr);
-    let id = match client.exchange(&Request::Submit {
+    let mut client = connect(&addr);
+    let submit = Request::Submit {
         qasm: ghz_qasm(),
         shots: 256,
         seed: 11,
         priority: Priority::Normal,
         trace_id: client_trace,
         parent_span: client_span,
-    }) {
+    };
+    let id = match exchange(&mut client, &submit) {
         Response::Accepted { id, trace_id } => {
             assert_eq!(
                 trace_id, client_trace,
@@ -101,19 +66,12 @@ fn client_stamped_trace_covers_shard_device_and_pool_slices() {
         other => panic!("expected Accepted, got {other:?}"),
     };
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        match client.exchange(&Request::Poll { id }) {
-            Response::Finished { .. } => break,
-            Response::Queued { .. } => {
-                assert!(std::time::Instant::now() < deadline, "job never finished");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            other => panic!("expected Finished/Queued, got {other:?}"),
-        }
+    match poll_until_done(&mut client, id) {
+        Response::Finished { .. } => {}
+        other => panic!("expected Finished/Queued, got {other:?}"),
     }
 
-    let spans: Vec<SpanInfo> = match client.exchange(&Request::Trace { id }) {
+    let spans: Vec<SpanInfo> = match exchange(&mut client, &Request::Trace { id }) {
         Response::Trace {
             trace_id, spans, ..
         } => {
@@ -161,11 +119,14 @@ fn client_stamped_trace_covers_shard_device_and_pool_slices() {
 
     // An unknown job id answers Unknown rather than an empty trace.
     assert!(matches!(
-        client.exchange(&Request::Trace { id: 99_999 }),
+        exchange(&mut client, &Request::Trace { id: 99_999 }),
         Response::Unknown { id: 99_999 }
     ));
 
-    assert!(matches!(client.exchange(&Request::Shutdown), Response::Bye));
+    assert!(matches!(
+        exchange(&mut client, &Request::Shutdown),
+        Response::Bye
+    ));
     server_thread.join().expect("server thread exits cleanly");
 }
 
@@ -188,17 +149,14 @@ fn untraced_submissions_still_mint_a_server_side_trace() {
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run());
 
-    let mut client = Client::connect(&addr);
+    let mut client = connect(&addr);
     // A pre-trace-aware client: raw JSON with no trace fields at all.
     let raw = format!(
         "{{\"Submit\":{{\"qasm\":{},\"shots\":64,\"seed\":1,\"priority\":\"Normal\"}}}}\n",
         serde_json::to_string(&ghz_qasm()).unwrap()
     );
-    client.writer.write_all(raw.as_bytes()).expect("write raw");
-    client.writer.flush().expect("flush raw");
-    let mut line = String::new();
-    client.reader.read_line(&mut line).expect("read response");
-    let trace_id = match serde_json::from_str::<Response>(&line).expect("response parses") {
+    client.send_raw(raw.as_bytes()).expect("write raw");
+    let trace_id = match recv(&mut client) {
         Response::Accepted { trace_id, .. } => {
             assert_ne!(trace_id, 0, "the server must mint a trace id");
             trace_id
@@ -207,6 +165,9 @@ fn untraced_submissions_still_mint_a_server_side_trace() {
     };
     assert_ne!(trace_id, 0);
 
-    assert!(matches!(client.exchange(&Request::Shutdown), Response::Bye));
+    assert!(matches!(
+        exchange(&mut client, &Request::Shutdown),
+        Response::Bye
+    ));
     server_thread.join().expect("server thread exits cleanly");
 }

@@ -1,4 +1,4 @@
-//! Process exit codes shared by the `edm-cli` and `edm-serve` binaries.
+//! Process exit codes shared by the `edm-cli` and `edm-fleet` binaries.
 //!
 //! The codes follow BSD `sysexits.h` so shell callers and CI wrappers can
 //! branch on *why* a run failed without parsing stderr:

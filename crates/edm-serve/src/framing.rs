@@ -1,6 +1,6 @@
 //! Incremental newline-delimited framing for the JSON-lines protocol.
 //!
-//! Both front ends — `edm-serve` on a pipe and the `edm-fleet` TCP layer —
+//! Both `edm-fleet` transports — stdin under `--stdio` and the TCP layer —
 //! receive requests as newline-terminated JSON objects, but neither may
 //! assume a read() returns whole lines: a request split across TCP
 //! segments (or pipe writes) arrives in fragments, and a hostile or buggy

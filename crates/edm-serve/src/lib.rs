@@ -18,15 +18,16 @@
 //!   [`ChaosBackend`](dispatch::ChaosBackend) test doubles,
 //! - [`journal`] — a JSON-lines write-ahead journal so accepted jobs
 //!   survive a service crash and replay bit-identically,
-//! - [`framing`] — the incremental line decoder both front ends use, so a
+//! - [`framing`] — the incremental line decoder both transports use, so a
 //!   request split across reads reassembles and a malformed frame gets a
 //!   reject-with-reason instead of a dropped connection,
 //! - [`service`] — the [`JobService`](service::JobService) orchestrator that
 //!   coalesces queued jobs into one `execute_batch` dispatch,
-//! - [`protocol`] — the JSON-lines request/response types the `edm-serve`
-//!   binary speaks,
-//! - [`exitcode`] — the sysexits-style process exit codes both binaries
-//!   map error classes onto.
+//! - [`protocol`] — the JSON-lines request/response types the `edm-fleet`
+//!   server speaks over TCP and `--stdio`,
+//! - [`client`] — the blocking protocol [`Client`](client::Client),
+//! - [`exitcode`] — the sysexits-style process exit codes `edm-cli` and
+//!   `edm-fleet` map error classes onto.
 //!
 //! ## Determinism contract
 //!
@@ -68,6 +69,7 @@
 #![deny(missing_docs)]
 
 pub mod cache;
+pub mod client;
 pub mod clock;
 pub mod dispatch;
 pub mod exitcode;

@@ -1,9 +1,9 @@
-//! The JSON-lines wire protocol the `edm-serve` binary speaks.
+//! The JSON-lines wire protocol the `edm-fleet` server speaks.
 //!
-//! One request per line on stdin, one response per line on stdout, both
-//! serde-serialized with the external enum tag as the message type. The
-//! types live in the library so integration tests and future clients parse
-//! the exact structs the binary emits.
+//! One request per line in, one response per line out (over TCP, or on
+//! stdin/stdout under `--stdio`), both serde-serialized with the external
+//! enum tag as the message type. The types live in the library so
+//! integration tests and clients parse the exact structs the server emits.
 
 use crate::queue::Priority;
 use edm_core::EdmResult;

@@ -73,7 +73,7 @@ impl Default for ServeConfig {
 }
 
 /// One controller decision with the circuit it was made for, in the order
-/// decisions were made. The `edm-serve --controller-log` flag streams
+/// decisions were made. The `edm-fleet --controller-log` flag streams
 /// these to disk as JSON lines; tests compare whole sequences to prove
 /// replay determinism.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

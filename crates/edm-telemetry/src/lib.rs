@@ -24,8 +24,8 @@
 //! primitive ([`Counter::inc`], [`Histogram::observe`], [`trace::span`])
 //! first checks one relaxed [`AtomicBool`]
 //! and returns immediately when telemetry is off — no clock reads, no
-//! locks, no allocation. `edm-serve` enables it at startup; `edm-cli`
-//! only under `--profile`.
+//! locks, no allocation. `edm-fleet` enables it under `--metrics-port`
+//! or `--trace-out`; `edm-cli` under `--profile` or `run --connect`.
 //!
 //! ## Naming convention
 //!

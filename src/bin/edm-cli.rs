@@ -24,6 +24,8 @@ use edm_core::{
     metrics, Backend, Controller, ControllerConfig, ControllerEvent, EdmError, EdmRunner,
     EnsembleConfig, MemberObservation, ProbDist, RunHealth, ShotAllocation,
 };
+use edm_serve::client::Client;
+use edm_serve::protocol::{Request, Response};
 use edm_serve::{exitcode, validate};
 use qcir::{draw, qasm, Circuit};
 use qdevice::mapper::SearchOutcome;
@@ -143,7 +145,7 @@ run options:
   --profile     enable telemetry for this run and print a per-stage timing
                 table (calls, total ms, % of wall) after the results
   --connect ADDR
-                submit to a running edm-serve/edm-fleet JSON-lines server
+                submit to a running edm-fleet JSON-lines TCP server
                 at ADDR (e.g. 127.0.0.1:7878) instead of running locally,
                 then poll until the job finishes and print its summary
   --adaptive-controller
@@ -617,58 +619,32 @@ fn transient(message: String) -> CliError {
     }
 }
 
-/// A line-oriented protocol client over one TCP connection, shared by the
-/// `run --connect`, `trace`, and `stats` commands.
-struct LineClient {
-    addr: String,
-    reader: std::io::BufReader<std::net::TcpStream>,
-    writer: std::net::TcpStream,
+/// Connects the shared protocol client for the `run --connect`, `trace`,
+/// and `stats` commands.
+fn connect(addr: &str) -> Result<Client, CliError> {
+    Client::connect(addr).map_err(|e| transient(format!("cannot connect to {addr}: {e}")))
 }
 
-impl LineClient {
-    fn connect(addr: &str) -> Result<Self, CliError> {
-        let stream = std::net::TcpStream::connect(addr)
-            .map_err(|e| transient(format!("cannot connect to {addr}: {e}")))?;
-        stream.set_nodelay(true).ok();
-        let reader = std::io::BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| transient(format!("{addr}: {e}")))?,
-        );
-        Ok(LineClient {
-            addr: addr.to_string(),
-            reader,
-            writer: stream,
-        })
-    }
-
-    fn exchange(
-        &mut self,
-        request: &edm_serve::protocol::Request,
-    ) -> Result<edm_serve::protocol::Response, CliError> {
-        use std::io::{BufRead, Write};
-        let addr = &self.addr;
-        let line = serde_json::to_string(request)
-            .map_err(|e| CliError::other(format!("encode request: {e}")))?;
-        writeln!(self.writer, "{line}").map_err(|e| transient(format!("{addr}: write: {e}")))?;
-        let mut response = String::new();
-        match self.reader.read_line(&mut response) {
-            Ok(0) => Err(transient(format!("{addr}: server closed the connection"))),
-            Ok(_) => serde_json::from_str(&response)
-                .map_err(|e| CliError::other(format!("{addr}: bad response: {e}"))),
-            Err(e) => Err(transient(format!("{addr}: read: {e}"))),
+/// One request/response round trip: I/O failures exit 75, a response that
+/// does not decode exits 1.
+fn exchange(client: &mut Client, addr: &str, request: &Request) -> Result<Response, CliError> {
+    client.exchange(request).map_err(|e| {
+        let message = format!("{addr}: {e}");
+        match e.kind() {
+            std::io::ErrorKind::InvalidData => CliError::other(message),
+            _ => transient(message),
         }
-    }
+    })
 }
 
-/// `run --connect`: submits the circuit to a JSON-lines server (an
-/// `edm-fleet` front end or a line-oriented `edm-serve` peer), polls the
-/// returned id until the job reaches a terminal state, and prints the
-/// summary. The submission carries this client's freshly minted trace id
-/// and root span, so the server's shard, device-service, and pool-slice
-/// spans all land in one cross-process trace (`edm-cli trace <id>` walks
-/// it back). Connection problems exit 75 (transient — the server may just
-/// not be up yet); a server-side rejection or job failure exits 65.
+/// `run --connect`: submits the circuit to an `edm-fleet` TCP server,
+/// polls the returned id until the job reaches a terminal state, and
+/// prints the summary. The submission carries this client's freshly
+/// minted trace id and root span, so the server's shard, device-service,
+/// and pool-slice spans all land in one cross-process trace (`edm-cli
+/// trace <id>` walks it back). Connection problems exit 75 (transient —
+/// the server may just not be up yet); a server-side rejection or job
+/// failure exits 65.
 fn cmd_run_remote(
     addr: &str,
     circuit: &Circuit,
@@ -676,8 +652,6 @@ fn cmd_run_remote(
     seed: u64,
     trace_out: Option<&str>,
 ) -> Result<(), CliError> {
-    use edm_serve::protocol::{Request, Response};
-
     // The client is the trace's origin: it mints the id and owns the root
     // span, exactly like an edge gateway in a conventional tracing setup.
     edm_telemetry::set_enabled(true);
@@ -693,15 +667,16 @@ fn cmd_run_remote(
     let client_span = edm_telemetry::trace::span("client_run");
     let parent_span = client_span.id();
 
-    let mut client = LineClient::connect(addr)?;
-    let id = match client.exchange(&Request::Submit {
+    let mut client = connect(addr)?;
+    let submit = Request::Submit {
         qasm: qasm::to_qasm(circuit),
         shots,
         seed,
         priority: edm_serve::queue::Priority::Normal,
         trace_id,
         parent_span,
-    })? {
+    };
+    let id = match exchange(&mut client, addr, &submit)? {
         Response::Accepted { id, trace_id } => {
             println!("accepted: id {id}  trace {trace_id:#018x}");
             id
@@ -713,7 +688,7 @@ fn cmd_run_remote(
     };
 
     let outcome = loop {
-        match client.exchange(&Request::Poll { id })? {
+        match exchange(&mut client, addr, &Request::Poll { id })? {
             Response::Queued { .. } => std::thread::sleep(std::time::Duration::from_millis(20)),
             Response::Finished { summary, .. } => {
                 println!(
@@ -733,7 +708,8 @@ fn cmd_run_remote(
                 // Surface adaptive-controller activity without making the
                 // user scrape Prometheus; servers without the controller
                 // report zeros and print nothing.
-                if let Ok(Response::Stats { stats }) = client.exchange(&Request::Stats) {
+                if let Ok(Response::Stats { stats }) = exchange(&mut client, addr, &Request::Stats)
+                {
                     if stats.controller_swaps > 0
                         || stats.controller_reweights > 0
                         || stats.controller_recompiles > 0
@@ -771,7 +747,7 @@ fn cmd_run_remote(
 /// job submitted by `run --connect`) print at the top level with their
 /// remote parent noted.
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    use edm_serve::protocol::{Request, Response, SpanInfo};
+    use edm_serve::protocol::SpanInfo;
 
     let id: u64 = args
         .iter()
@@ -782,8 +758,8 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     let addr = text_flag(args, "--connect")?
         .ok_or_else(|| CliError::usage("trace requires --connect ADDR"))?;
 
-    let mut client = LineClient::connect(&addr)?;
-    let (trace_id, spans) = match client.exchange(&Request::Trace { id })? {
+    let mut client = connect(&addr)?;
+    let (trace_id, spans) = match exchange(&mut client, &addr, &Request::Trace { id })? {
         Response::Trace {
             trace_id, spans, ..
         } => (trace_id, spans),
@@ -869,7 +845,6 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 /// plane (observed IST, ESP gap, warmup). With `--watch N` the table
 /// redraws every N seconds (in place when stdout is a terminal).
 fn cmd_stats(args: &[String]) -> Result<(), CliError> {
-    use edm_serve::protocol::{Request, Response};
     use std::io::IsTerminal;
 
     let addr = text_flag(args, "--connect")?
@@ -880,9 +855,9 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     }
     let redraw_in_place = watch.is_some() && std::io::stdout().is_terminal();
 
-    let mut client = LineClient::connect(&addr)?;
+    let mut client = connect(&addr)?;
     loop {
-        let devices = match client.exchange(&Request::FleetStats)? {
+        let devices = match exchange(&mut client, &addr, &Request::FleetStats)? {
             Response::FleetStats { devices } => devices,
             other => return Err(CliError::other(format!("unexpected response: {other:?}"))),
         };

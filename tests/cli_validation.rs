@@ -4,10 +4,13 @@
 
 use std::process::Command;
 
-fn ghz_file() -> std::path::PathBuf {
+/// Writes the fixture under a per-test name: tests run in parallel, and a
+/// shared file could be read by one test's `edm-cli` while another test
+/// is rewriting it.
+fn ghz_file(test: &str) -> std::path::PathBuf {
     let mut c = qcir::Circuit::new(2, 2);
     c.h(0).cx(0, 1).measure_all();
-    let path = std::env::temp_dir().join("edm_cli_validation_ghz.qasm");
+    let path = std::env::temp_dir().join(format!("edm_cli_validation_{test}.qasm"));
     std::fs::write(&path, qcir::qasm::to_qasm(&c)).expect("write qasm fixture");
     path
 }
@@ -21,7 +24,7 @@ fn run_cli(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn zero_shots_is_a_clean_cli_error() {
-    let qasm = ghz_file();
+    let qasm = ghz_file("zero_shots");
     let out = run_cli(&["run", qasm.to_str().unwrap(), "--shots", "0"]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -33,7 +36,7 @@ fn zero_shots_is_a_clean_cli_error() {
 
 #[test]
 fn zero_threads_is_a_clean_cli_error() {
-    let qasm = ghz_file();
+    let qasm = ghz_file("zero_threads");
     let out = run_cli(&[
         "run",
         qasm.to_str().unwrap(),
@@ -52,7 +55,7 @@ fn zero_threads_is_a_clean_cli_error() {
 
 #[test]
 fn explicit_thread_cap_still_works() {
-    let qasm = ghz_file();
+    let qasm = ghz_file("thread_cap");
     let out = run_cli(&[
         "run",
         qasm.to_str().unwrap(),
