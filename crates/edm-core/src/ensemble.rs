@@ -24,9 +24,10 @@ use crate::metrics;
 use crate::wedm;
 use crate::EdmError;
 use qcir::{Circuit, Gate, Qubit};
-use qdevice::mapper::{self, SearchOutcome};
+use qdevice::mapper::SearchOutcome;
 use qdevice::Topology;
-use qmap::{esp, Transpiler};
+use qmap::esp::EspScorer;
+use qmap::Transpiler;
 use qsim::Counts;
 
 /// How the trial budget is divided among ensemble members.
@@ -169,26 +170,36 @@ pub fn diversify_detailed(
         .collect();
     let pattern = Topology::new(active.len() as u32, &pattern_edges);
 
-    // Enumerate on the quarantine-masked view first; quarantine is advisory,
-    // so fall back to the full device rather than return zero embeddings.
-    let selection = transpiler.mapper_selection();
-    let set = mapper::enumerate_embeddings(
-        &pattern,
-        transpiler.effective_topology(),
-        config.max_candidates,
-        selection,
-    );
-    let mut outcome = set.outcome;
-    let mut embeddings = set.embeddings;
-    if let Some(quarantine) = transpiler.quarantine() {
-        embeddings.retain(|phi| quarantine.allows_footprint(phi));
-        if embeddings.is_empty() {
-            let set =
-                mapper::enumerate_embeddings(&pattern, topology, config.max_candidates, selection);
-            outcome = set.outcome;
-            embeddings = set.embeddings;
+    // Score every embedding as the search streams it, keeping a compact
+    // record only while its ESP is within `min_esp_ratio` of the running
+    // best. The running best never exceeds the final one, so no record
+    // the final filter keeps is dropped here.
+    let scorer = EspScorer::new(physical, cal, topology.num_qubits(), |q| pos[q.usize()]);
+    let ratio = config.min_esp_ratio;
+    let filtered = ratio > 0.0;
+    let mut pool: Vec<Candidate> = Vec::new();
+    let mut best = f64::NEG_INFINITY;
+    let mut found = 0usize;
+    let mut error = None;
+    let outcome = transpiler.for_each_candidate_embedding(&pattern, config.max_candidates, |phi| {
+        found += 1;
+        match scorer.score(phi) {
+            Ok(esp) => {
+                if esp > best {
+                    best = esp;
+                }
+                if !filtered || esp >= ratio * best {
+                    pool.push(Candidate {
+                        esp,
+                        assignment: phi.to_vec(),
+                    });
+                }
+            }
+            Err(e) => {
+                error.get_or_insert(e);
+            }
         }
-    }
+    });
     if !matches!(outcome, SearchOutcome::Complete) {
         edm_telemetry::counter!(
             "edm_core_truncated_pools_total",
@@ -196,37 +207,38 @@ pub fn diversify_detailed(
         )
         .inc();
     }
-    if embeddings.is_empty() {
+    if found == 0 {
         return Err(EdmError::NoEmbeddings);
     }
-
-    let mut members = Vec::with_capacity(embeddings.len());
-    for phi in embeddings {
-        let relabeled = physical.relabeled(topology.num_qubits(), |q| {
-            Qubit::new(phi[pos[q.usize()] as usize])
-        });
-        let esp = esp::esp(&relabeled, cal)?;
-        let mut qubits = phi.clone();
-        qubits.sort_unstable();
-        members.push(EnsembleMember {
-            physical: relabeled,
-            esp,
-            qubits,
-            assignment: phi,
-            inverted_measurement: false,
-        });
+    if let Some(e) = error {
+        return Err(e.into());
     }
-    members.sort_by(|a, b| b.esp.partial_cmp(&a.esp).expect("ESP is finite"));
-    if config.min_esp_ratio > 0.0 {
-        let best = members[0].esp;
-        members.retain(|m| m.esp >= config.min_esp_ratio * best);
+    if filtered {
+        pool.retain(|c| c.esp >= ratio * best);
     }
-    members = if config.diverse_selection {
-        select_diverse(members, config.size)
+    pool.sort_by(|a, b| b.esp.partial_cmp(&a.esp).expect("ESP is finite"));
+    let chosen: Vec<usize> = if config.diverse_selection {
+        select_diverse(&pool, config.size)
     } else {
-        members.truncate(config.size);
-        members
+        (0..pool.len().min(config.size)).collect()
     };
+    let mut members: Vec<EnsembleMember> = chosen
+        .into_iter()
+        .map(|i| {
+            let phi = std::mem::take(&mut pool[i].assignment);
+            let mut qubits = phi.clone();
+            qubits.sort_unstable();
+            EnsembleMember {
+                physical: physical.relabeled(topology.num_qubits(), |q| {
+                    Qubit::new(phi[pos[q.usize()] as usize])
+                }),
+                esp: pool[i].esp,
+                qubits,
+                assignment: phi,
+                inverted_measurement: false,
+            }
+        })
+        .collect();
 
     if config.invert_measurements {
         for (i, m) in members.iter_mut().enumerate() {
@@ -239,48 +251,70 @@ pub fn diversify_detailed(
     Ok((members, outcome))
 }
 
-/// Greedy max-min diversity selection: start from the ESP-best member, then
-/// repeatedly add the candidate whose *assignment* (which physical qubit
-/// hosts each program qubit) differs in the most positions from every
-/// already-selected member, breaking ties toward higher ESP. Assignment
+/// One scored embedding of the candidate pool: only the survivors of
+/// selection become full [`EnsembleMember`]s.
+struct Candidate {
+    esp: f64,
+    assignment: Vec<u32>,
+}
+
+/// Greedy max-min diversity selection: start from the ESP-best candidate,
+/// then repeatedly add the candidate whose *assignment* (which physical
+/// qubit hosts each program qubit) differs in the most positions from every
+/// already-selected one, breaking ties toward higher ESP. Assignment
 /// distance, unlike footprint distance, counts automorphic relabelings on
 /// the same qubit set as diverse — on a small device like IBMQ-14 those
 /// relabelings are often the only way to decorrelate per-qubit mistakes.
 /// All candidates are already inside the ESP pool, so this trades no
 /// reliability for the added diversity.
-fn select_diverse(pool: Vec<EnsembleMember>, size: usize) -> Vec<EnsembleMember> {
+///
+/// `pool` is ESP-descending; returns indices into it, ESP-descending. Each
+/// candidate keeps its distance to the nearest selected one, updated only
+/// against the newest pick, so a pick costs one pass over the pool.
+fn select_diverse(pool: &[Candidate], size: usize) -> Vec<usize> {
     if pool.len() <= size {
-        return pool;
+        return (0..pool.len()).collect();
     }
-    let footprint_distance = |a: &EnsembleMember, b: &EnsembleMember| -> usize {
+    let distance = |a: &Candidate, b: &Candidate| -> usize {
         a.assignment
             .iter()
             .zip(&b.assignment)
             .filter(|(x, y)| x != y)
             .count()
     };
-    let mut remaining = pool;
-    let mut selected: Vec<EnsembleMember> = vec![remaining.remove(0)];
-    while selected.len() < size && !remaining.is_empty() {
-        // remaining is ESP-descending, so the first candidate achieving the
-        // best min-distance wins ties by ESP automatically.
-        let (best_idx, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let d = selected
-                    .iter()
-                    .map(|s| footprint_distance(c, s))
-                    .min()
-                    .expect("selected is non-empty");
-                (i, d)
-            })
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .expect("remaining is non-empty");
-        selected.push(remaining.remove(best_idx));
+    // `None` marks a selected candidate.
+    let mut nearest: Vec<Option<usize>> =
+        pool.iter().map(|c| Some(distance(c, &pool[0]))).collect();
+    nearest[0] = None;
+    let mut selected = vec![0];
+    while selected.len() < size {
+        // The first candidate achieving the largest distance wins, which
+        // breaks ties toward higher ESP since the pool is ESP-descending.
+        let mut pick: Option<(usize, usize)> = None;
+        for (i, d) in nearest.iter().enumerate() {
+            if let Some(d) = *d {
+                if pick.is_none_or(|(_, best)| d > best) {
+                    pick = Some((i, d));
+                }
+            }
+        }
+        let (pick, _) = pick.expect("the pool is larger than the selection");
+        nearest[pick] = None;
+        for (i, d) in nearest.iter_mut().enumerate() {
+            if let Some(d) = d {
+                *d = (*d).min(distance(&pool[i], &pool[pick]));
+            }
+        }
+        selected.push(pick);
     }
-    // Restore the ESP-descending order contract (index 0 = best estimated).
-    selected.sort_by(|a, b| b.esp.partial_cmp(&a.esp).expect("ESP is finite"));
+    // Restore the ESP-descending order contract (index 0 = best estimated),
+    // keeping pick order among equal ESPs.
+    selected.sort_by(|&a, &b| {
+        pool[b]
+            .esp
+            .partial_cmp(&pool[a].esp)
+            .expect("ESP is finite")
+    });
     selected
 }
 

@@ -98,48 +98,69 @@ pub fn search(
     max_results: usize,
     config: &FdlsConfig,
 ) -> EmbeddingSet {
+    let mut embeddings = Vec::new();
+    let outcome = for_each(pattern, target, max_results, config, |phi| {
+        embeddings.push(phi.to_vec())
+    });
+    EmbeddingSet {
+        embeddings,
+        outcome,
+    }
+}
+
+/// Streams the embeddings [`search`] would return to `visit`, in the same
+/// order, without collecting them. At most `max_results` reach `visit`;
+/// the search still looks for one more to report a clipped pool as
+/// [`SearchOutcome::Truncated`]. The `edm_qdevice_fdls_us` histogram times
+/// the whole walk, the visitor's work included.
+pub(crate) fn for_each(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    config: &FdlsConfig,
+    mut visit: impl FnMut(&[u32]),
+) -> SearchOutcome {
     let _span = edm_telemetry::trace::span("fdls_search");
-    let set = edm_telemetry::histogram!(
+    let (visited, outcome) = edm_telemetry::histogram!(
         "edm_qdevice_fdls_us",
         "Wall time of one FDLS embedding search"
     )
-    .time(|| search_inner(pattern, target, max_results, config));
+    .time(|| for_each_inner(pattern, target, max_results, config, &mut visit));
     edm_telemetry::counter!(
         "edm_qdevice_fdls_embeddings_total",
         "Embeddings produced by FDLS searches"
     )
-    .add(set.embeddings.len() as u64);
-    if !set.is_complete() {
+    .add(visited);
+    if outcome != SearchOutcome::Complete {
         edm_telemetry::counter!(
             "edm_qdevice_fdls_truncated_total",
             "FDLS searches that stopped on a budget, cap, or backtrack limit"
         )
         .inc();
     }
-    set
+    outcome
 }
 
-fn search_inner(
+/// Runs the search; returns how many embeddings reached `visit` and the
+/// outcome.
+fn for_each_inner(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
     config: &FdlsConfig,
-) -> EmbeddingSet {
+    visit: &mut impl FnMut(&[u32]),
+) -> (u64, SearchOutcome) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
-    let complete = |embeddings: Vec<Vec<u32>>| EmbeddingSet {
-        embeddings,
-        outcome: SearchOutcome::Complete,
-    };
     if pn == 0 {
-        return if max_results > 0 {
-            complete(vec![Vec::new()])
-        } else {
-            complete(Vec::new())
-        };
+        if max_results == 0 {
+            return (0, SearchOutcome::Complete);
+        }
+        visit(&[]);
+        return (1, SearchOutcome::Complete);
     }
     if pn > tn {
-        return complete(Vec::new());
+        return (0, SearchOutcome::Complete);
     }
 
     // Stage 1: candidate filtering. A target qubit can host a pattern
@@ -162,7 +183,7 @@ fn search_inner(
         if list.is_empty() {
             // Some pattern vertex has no viable host: no embedding exists,
             // and the filter proved it without any search.
-            return complete(Vec::new());
+            return (0, SearchOutcome::Complete);
         }
         cand_list.push(list);
         cand_mask.push(mask);
@@ -170,7 +191,6 @@ fn search_inner(
 
     // Search one past the cap so an exactly-at-cap pool still reports
     // Complete (matching vf2::enumerate's cap-hit detection).
-    let limit = max_results.saturating_add(1);
     let order = vf2::matching_order(pattern);
     let mut s = Search {
         pattern,
@@ -180,8 +200,10 @@ fn search_inner(
         cand_mask,
         mapping: vec![u32::MAX; pn],
         used: vec![false; tn],
-        results: Vec::new(),
-        limit,
+        visit,
+        found: 0,
+        max_results,
+        limit: max_results.saturating_add(1),
         expansions: 0,
         root_expansions: 0,
         deepest: 0,
@@ -215,21 +237,15 @@ fn search_inner(
         s.mapping[root_v as usize] = u32::MAX;
     }
 
-    let mut embeddings = s.results;
-    if embeddings.len() > max_results {
-        embeddings.truncate(max_results);
-        s.truncated = true;
-    }
-    EmbeddingSet {
-        embeddings,
-        outcome: if s.truncated {
-            SearchOutcome::Truncated {
-                explored: s.expansions,
-            }
-        } else {
-            SearchOutcome::Complete
-        },
-    }
+    let visited = s.found.min(max_results) as u64;
+    let outcome = if s.truncated {
+        SearchOutcome::Truncated {
+            explored: s.expansions,
+        }
+    } else {
+        SearchOutcome::Complete
+    };
+    (visited, outcome)
 }
 
 /// Per-vertex neighbor degrees, sorted descending.
@@ -249,7 +265,7 @@ fn dominates(target_sig: &[usize], pattern_sig: &[usize]) -> bool {
     pattern_sig.len() <= target_sig.len() && pattern_sig.iter().zip(target_sig).all(|(p, t)| p <= t)
 }
 
-struct Search<'a> {
+struct Search<'a, F> {
     pattern: &'a Topology,
     target: &'a Topology,
     order: Vec<u32>,
@@ -257,7 +273,11 @@ struct Search<'a> {
     cand_mask: Vec<Vec<bool>>,
     mapping: Vec<u32>,
     used: Vec<bool>,
-    results: Vec<Vec<u32>>,
+    visit: F,
+    /// Embeddings found so far, the one past the cap included.
+    found: usize,
+    max_results: usize,
+    /// `max_results + 1`: the search stops once it has found this many.
     limit: usize,
     expansions: u64,
     root_expansions: u64,
@@ -270,7 +290,7 @@ struct Search<'a> {
     truncated: bool,
 }
 
-impl Search<'_> {
+impl<F: FnMut(&[u32])> Search<'_, F> {
     /// Counts one node expansion against both budgets. Returns false (and
     /// raises the corresponding flags) when a budget is exhausted.
     fn charge_expansion(&mut self) -> bool {
@@ -291,8 +311,11 @@ impl Search<'_> {
 
     fn dfs(&mut self, depth: usize) {
         if depth == self.order.len() {
-            self.results.push(self.mapping.clone());
-            if self.results.len() >= self.limit {
+            self.found += 1;
+            if self.found <= self.max_results {
+                (self.visit)(&self.mapping);
+            }
+            if self.found >= self.limit {
                 self.truncated = true;
                 self.stop = true;
             }
@@ -306,47 +329,62 @@ impl Search<'_> {
             .iter()
             .find(|&&u| self.mapping[u as usize] != u32::MAX)
             .copied();
-        let candidates: Vec<u32> = match mapped_neighbor {
-            Some(u) => self
-                .target
-                .neighbors(self.mapping[u as usize])
-                .iter()
-                .copied()
-                .filter(|&t| !self.used[t as usize] && self.cand_mask[v as usize][t as usize])
-                .collect(),
-            None => self.cand_list[v as usize]
-                .iter()
-                .copied()
-                .filter(|&t| !self.used[t as usize])
-                .collect(),
-        };
-        'cand: for t in candidates {
-            for &u in self.pattern.neighbors(v) {
-                let img = self.mapping[u as usize];
-                if img != u32::MAX && !self.target.has_edge(t, img) {
-                    continue 'cand;
+        // Candidates are walked in place, in ascending order: every subtree
+        // below restores `used`, so filtering it lazily sees the same set
+        // an up-front collection would.
+        let target = self.target;
+        match mapped_neighbor {
+            Some(u) => {
+                for &t in target.neighbors(self.mapping[u as usize]) {
+                    if self.cand_mask[v as usize][t as usize] && self.try_candidate(depth, v, t) {
+                        return;
+                    }
                 }
             }
-            if !self.charge_expansion() {
-                return;
-            }
-            self.mapping[v as usize] = t;
-            self.used[t as usize] = true;
-            self.dfs(depth + 1);
-            self.used[t as usize] = false;
-            self.mapping[v as usize] = u32::MAX;
-            if self.stop || self.abandon {
-                return;
-            }
-            // Depth-limited backtracking: once the subtree below has been
-            // and gone, retreating far below the deepest point means we'd
-            // only re-enumerate local permutations — move to the next root.
-            if (self.deepest - depth) as u64 > u64::from(self.config.backtrack_depth) {
-                self.truncated = true;
-                self.abandon = true;
-                return;
+            None => {
+                for i in 0..self.cand_list[v as usize].len() {
+                    let t = self.cand_list[v as usize][i];
+                    if self.try_candidate(depth, v, t) {
+                        return;
+                    }
+                }
             }
         }
+    }
+
+    /// Places pattern vertex `v` on target vertex `t` if that is feasible
+    /// and searches below it. Returns true when the search must leave this
+    /// level: a budget ran out, the root is abandoned, or the cap is met.
+    fn try_candidate(&mut self, depth: usize, v: u32, t: u32) -> bool {
+        if self.used[t as usize] {
+            return false;
+        }
+        for &u in self.pattern.neighbors(v) {
+            let img = self.mapping[u as usize];
+            if img != u32::MAX && !self.target.has_edge(t, img) {
+                return false;
+            }
+        }
+        if !self.charge_expansion() {
+            return true;
+        }
+        self.mapping[v as usize] = t;
+        self.used[t as usize] = true;
+        self.dfs(depth + 1);
+        self.used[t as usize] = false;
+        self.mapping[v as usize] = u32::MAX;
+        if self.stop || self.abandon {
+            return true;
+        }
+        // Depth-limited backtracking: once the subtree below has been
+        // and gone, retreating far below the deepest point means we'd
+        // only re-enumerate local permutations — move to the next root.
+        if (self.deepest - depth) as u64 > u64::from(self.config.backtrack_depth) {
+            self.truncated = true;
+            self.abandon = true;
+            return true;
+        }
+        false
     }
 }
 

@@ -108,16 +108,62 @@ impl MapperSelection {
 ///
 /// Both engines are deterministic (fixed matching order, candidates in
 /// ascending target-qubit id), so the same inputs always yield the same
-/// embedding sequence.
+/// embedding sequence. This collects [`for_each_embedding`]'s stream.
 pub fn enumerate_embeddings(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
     selection: MapperSelection,
 ) -> EmbeddingSet {
+    let mut embeddings = Vec::new();
+    let outcome = for_each_embedding(pattern, target, max_results, selection, |phi| {
+        embeddings.push(phi.to_vec())
+    });
+    EmbeddingSet {
+        embeddings,
+        outcome,
+    }
+}
+
+/// Streams the embeddings [`enumerate_embeddings`] would return to `visit`,
+/// in the same order, and returns the search outcome.
+///
+/// `visit` gets each assignment (indexed by pattern vertex) borrowed from
+/// the search state, so a caller that scores embeddings and keeps only a
+/// few never allocates one per embedding. At most `max_results` reach
+/// `visit`; the engine still looks for one more to report a clipped pool
+/// as [`SearchOutcome::Truncated`], and the engines' telemetry counts the
+/// embeddings `visit` saw.
+///
+/// # Examples
+///
+/// ```
+/// use qdevice::mapper::{self, MapperSelection, SearchOutcome};
+/// use qdevice::presets;
+/// // A 3-qubit path fits a 4-qubit line 4 ways; a cap of 3 clips the pool.
+/// let mut seen = 0;
+/// let outcome = mapper::for_each_embedding(
+///     &presets::line(3),
+///     &presets::line(4),
+///     3,
+///     MapperSelection::Exhaustive,
+///     |_phi| seen += 1,
+/// );
+/// assert_eq!(seen, 3);
+/// assert!(matches!(outcome, SearchOutcome::Truncated { .. }));
+/// ```
+pub fn for_each_embedding(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    selection: MapperSelection,
+    visit: impl FnMut(&[u32]),
+) -> SearchOutcome {
     match selection.resolve(target) {
-        MapperSelection::Exhaustive => vf2::enumerate(pattern, target, max_results),
-        MapperSelection::Filtered(config) => fdls::search(pattern, target, max_results, &config),
+        MapperSelection::Exhaustive => vf2::for_each(pattern, target, max_results, visit),
+        MapperSelection::Filtered(config) => {
+            fdls::for_each(pattern, target, max_results, &config, visit)
+        }
         MapperSelection::Auto => unreachable!("resolve never returns Auto"),
     }
 }

@@ -54,48 +54,74 @@ pub fn enumerate_subgraph_isomorphisms(
 /// only a genuinely clipped pool is `Truncated` (and counted by the
 /// `edm_qdevice_vf2_cap_hits_total` telemetry counter).
 pub fn enumerate(pattern: &Topology, target: &Topology, max_results: usize) -> EmbeddingSet {
+    let mut embeddings = Vec::new();
+    let outcome = for_each(pattern, target, max_results, |phi| {
+        embeddings.push(phi.to_vec())
+    });
+    EmbeddingSet {
+        embeddings,
+        outcome,
+    }
+}
+
+/// Streams the embeddings [`enumerate`] would return to `visit`, in the
+/// same order, without collecting them: `visit` sees each assignment
+/// (indexed by pattern vertex) once, borrowed from the search state.
+///
+/// At most `max_results` embeddings reach `visit`; the search still looks
+/// for one more to tell a clipped pool ([`SearchOutcome::Truncated`]) from
+/// one of exactly `max_results`. The `edm_qdevice_vf2_us` histogram times
+/// the whole walk, the visitor's work included.
+pub(crate) fn for_each(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    mut visit: impl FnMut(&[u32]),
+) -> SearchOutcome {
     let _span = edm_telemetry::trace::span("vf2_enumerate");
-    let set = edm_telemetry::histogram!(
+    let (visited, outcome) = edm_telemetry::histogram!(
         "edm_qdevice_vf2_us",
         "Wall time of one VF2 subgraph-isomorphism enumeration"
     )
-    .time(|| enumerate_inner(pattern, target, max_results));
+    .time(|| for_each_inner(pattern, target, max_results, &mut visit));
     edm_telemetry::counter!(
         "edm_qdevice_vf2_embeddings_total",
         "Embeddings produced by VF2 enumeration"
     )
-    .add(set.embeddings.len() as u64);
-    if !set.is_complete() {
+    .add(visited);
+    if outcome != SearchOutcome::Complete {
         edm_telemetry::counter!(
             "edm_qdevice_vf2_cap_hits_total",
             "VF2 enumerations truncated by their result cap"
         )
         .inc();
     }
-    set
+    outcome
 }
 
-fn enumerate_inner(pattern: &Topology, target: &Topology, max_results: usize) -> EmbeddingSet {
+/// Runs the search; returns how many embeddings reached `visit` and the
+/// outcome.
+fn for_each_inner(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    visit: &mut impl FnMut(&[u32]),
+) -> (u64, SearchOutcome) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
-    let complete = |embeddings: Vec<Vec<u32>>| EmbeddingSet {
-        embeddings,
-        outcome: SearchOutcome::Complete,
-    };
     if pn == 0 {
-        return if max_results > 0 {
-            complete(vec![Vec::new()])
-        } else {
-            complete(Vec::new())
-        };
+        if max_results == 0 {
+            return (0, SearchOutcome::Complete);
+        }
+        visit(&[]);
+        return (1, SearchOutcome::Complete);
     }
     if pn > tn {
-        return complete(Vec::new());
+        return (0, SearchOutcome::Complete);
     }
 
     // Search one past the cap: finding max_results + 1 embeddings proves
     // the cap actually clipped the pool.
-    let limit = max_results.saturating_add(1);
     let order = matching_order(pattern);
     let mut state = State {
         pattern,
@@ -103,26 +129,22 @@ fn enumerate_inner(pattern: &Topology, target: &Topology, max_results: usize) ->
         order,
         mapping: vec![u32::MAX; pn],
         used: vec![false; tn],
-        results: Vec::new(),
-        max_results: limit,
+        visit,
+        found: 0,
+        max_results,
+        limit: max_results.saturating_add(1),
         nodes: 0,
     };
     state.search(0);
-    let mut embeddings = state.results;
-    let truncated = embeddings.len() > max_results;
-    if truncated {
-        embeddings.truncate(max_results);
-    }
-    EmbeddingSet {
-        embeddings,
-        outcome: if truncated {
-            SearchOutcome::Truncated {
-                explored: state.nodes,
-            }
-        } else {
-            SearchOutcome::Complete
-        },
-    }
+    let visited = state.found.min(max_results) as u64;
+    let outcome = if state.found > max_results {
+        SearchOutcome::Truncated {
+            explored: state.nodes,
+        }
+    } else {
+        SearchOutcome::Complete
+    };
+    (visited, outcome)
 }
 
 /// Returns true if at least one embedding of `pattern` into `target` exists.
@@ -175,70 +197,89 @@ pub(crate) fn matching_order(pattern: &Topology) -> Vec<u32> {
     order
 }
 
-struct State<'a> {
+struct State<'a, F> {
     pattern: &'a Topology,
     target: &'a Topology,
     order: Vec<u32>,
     mapping: Vec<u32>,
     used: Vec<bool>,
-    results: Vec<Vec<u32>>,
+    visit: F,
+    /// Embeddings found so far, the one past the cap included.
+    found: usize,
     max_results: usize,
+    /// `max_results + 1`: the search stops once it has found this many.
+    limit: usize,
     /// Search-tree nodes expanded (candidate placements tried).
     nodes: u64,
 }
 
-impl State<'_> {
+impl<F: FnMut(&[u32])> State<'_, F> {
     fn search(&mut self, depth: usize) {
-        if self.results.len() >= self.max_results {
+        if self.found >= self.limit {
             return;
         }
         if depth == self.order.len() {
-            self.results.push(self.mapping.clone());
+            self.found += 1;
+            if self.found <= self.max_results {
+                (self.visit)(&self.mapping);
+            }
             return;
         }
         let v = self.order[depth];
         // Candidate targets: if v has mapped neighbors, candidates are the
         // target-neighbors of one mapped image (the smallest pruning set);
-        // otherwise every unused target vertex.
+        // otherwise every unused target vertex, in ascending order either
+        // way. Both are walked in place: every subtree below restores
+        // `used`, so filtering it lazily sees the same set an up-front
+        // collection would.
         let mapped_neighbor = self
             .pattern
             .neighbors(v)
             .iter()
             .find(|&&u| self.mapping[u as usize] != u32::MAX)
             .copied();
-        let candidates: Vec<u32> = match mapped_neighbor {
-            Some(u) => self
-                .target
-                .neighbors(self.mapping[u as usize])
-                .iter()
-                .copied()
-                .filter(|&t| !self.used[t as usize])
-                .collect(),
-            None => (0..self.target.num_qubits())
-                .filter(|&t| !self.used[t as usize])
-                .collect(),
-        };
-        'cand: for t in candidates {
-            // Feasibility: degree and full adjacency consistency.
-            if self.target.degree(t) < self.pattern.degree(v) {
-                continue;
-            }
-            for &u in self.pattern.neighbors(v) {
-                let img = self.mapping[u as usize];
-                if img != u32::MAX && !self.target.has_edge(t, img) {
-                    continue 'cand;
+        let target = self.target;
+        match mapped_neighbor {
+            Some(u) => {
+                for &t in target.neighbors(self.mapping[u as usize]) {
+                    if self.try_candidate(depth, v, t) {
+                        return;
+                    }
                 }
             }
-            self.nodes += 1;
-            self.mapping[v as usize] = t;
-            self.used[t as usize] = true;
-            self.search(depth + 1);
-            self.used[t as usize] = false;
-            self.mapping[v as usize] = u32::MAX;
-            if self.results.len() >= self.max_results {
-                return;
+            None => {
+                for t in 0..target.num_qubits() {
+                    if self.try_candidate(depth, v, t) {
+                        return;
+                    }
+                }
             }
         }
+    }
+
+    /// Places pattern vertex `v` on target vertex `t` if that is feasible
+    /// and searches below it. Returns true once the search is done.
+    fn try_candidate(&mut self, depth: usize, v: u32, t: u32) -> bool {
+        if self.used[t as usize] {
+            return false;
+        }
+        // Feasibility: degree and full adjacency consistency.
+        if self.target.degree(t) < self.pattern.degree(v) {
+            return false;
+        }
+        for &u in self.pattern.neighbors(v) {
+            let img = self.mapping[u as usize];
+            if img != u32::MAX && !self.target.has_edge(t, img) {
+                return false;
+            }
+        }
+        self.nodes += 1;
+        self.mapping[v as usize] = t;
+        self.used[t as usize] = true;
+        self.search(depth + 1);
+        self.used[t as usize] = false;
+        self.mapping[v as usize] = u32::MAX;
+        self.found >= self.limit
     }
 }
 

@@ -11,7 +11,7 @@
 //! candidate mappings by it.
 
 use crate::MapError;
-use qcir::{Circuit, Gate};
+use qcir::{Circuit, Gate, Qubit};
 use qdevice::Calibration;
 
 /// Computes the ESP of a *physical* circuit under a calibration.
@@ -73,6 +73,136 @@ pub fn esp(circuit: &Circuit, cal: &Calibration) -> Result<f64, MapError> {
         }
     }
     Ok(product)
+}
+
+/// The ESP of one circuit under every relabeling of its qubits, compiled
+/// once per (circuit, calibration).
+///
+/// Ranking embeddings by [`esp`] means relabeling the circuit onto each of
+/// them first. The scorer keeps the gate list as operations on the
+/// circuit's own (logical) qubit indices plus dense success-rate tables,
+/// so scoring an embedding is one pass over the gates with no allocation.
+/// It multiplies the same `1.0 - e` factors in the same gate order, so
+/// [`EspScorer::score`] is bit-equal to `esp(&relabeled, cal)` and fails
+/// with the same error on the same gate.
+///
+/// # Examples
+///
+/// ```
+/// use qcir::Circuit;
+/// use qdevice::{presets, DeviceModel};
+/// use qmap::{esp, Layout};
+///
+/// let device = DeviceModel::synthesize(presets::melbourne14(), 2);
+/// let cal = device.calibration();
+/// let mut c = Circuit::new(2, 2);
+/// c.h(0);
+/// c.cx(0, 1);
+/// c.measure_all();
+/// let scorer = esp::EspScorer::new(&c, &cal, 14, |q| q.index());
+/// let layout = Layout::from_physical(vec![1, 2], 14);
+/// let direct = esp::esp(&layout.apply(&c), &cal)?;
+/// assert_eq!(scorer.score(layout.as_slice())?.to_bits(), direct.to_bits());
+/// # Ok::<(), qmap::MapError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct EspScorer {
+    ops: Vec<ScoreOp>,
+    /// `1.0 - gate_1q_err`, per physical qubit.
+    gate_1q: Vec<f64>,
+    /// `1.0 - readout_err`, per physical qubit.
+    readout: Vec<f64>,
+    /// `1.0 - cx_err` at `a * n + b`, NaN for an uncalibrated pair (rates
+    /// lie in `[0, 1]`, so no calibrated entry is NaN).
+    cx: Vec<f64>,
+    n: usize,
+    /// Set when the relabeled circuit is wider than the calibration.
+    too_wide: Option<MapError>,
+}
+
+/// One gate of a compiled [`EspScorer`], on logical qubit indices.
+#[derive(Debug, Clone, Copy)]
+enum ScoreOp {
+    OneQubit(u32),
+    Cx(u32, u32),
+    Measure(u32),
+    Unsupported(&'static str),
+}
+
+impl EspScorer {
+    /// Compiles `circuit` for scoring relabelings onto a `num_physical`
+    /// qubit device: `logical` maps each circuit qubit to the index the
+    /// scored assignments are indexed by.
+    pub fn new(
+        circuit: &Circuit,
+        cal: &Calibration,
+        num_physical: u32,
+        logical: impl Fn(Qubit) -> u32,
+    ) -> Self {
+        let ops = circuit
+            .iter()
+            .map(|g| match *g {
+                Gate::Cx(a, b) => ScoreOp::Cx(logical(a), logical(b)),
+                Gate::Measure(q, _) => ScoreOp::Measure(logical(q)),
+                ref g1 if g1.is_single_qubit() => ScoreOp::OneQubit(logical(g1.qubits()[0])),
+                ref other => ScoreOp::Unsupported(other.name()),
+            })
+            .collect();
+        let n = cal.num_qubits();
+        let mut cx = vec![f64::NAN; n as usize * n as usize];
+        for (edge, &e) in cal.cx_table() {
+            let (a, b) = (edge.lo() as usize, edge.hi() as usize);
+            // `cx_err` never calibrates a qubit against itself.
+            if a != b {
+                cx[a * n as usize + b] = 1.0 - e;
+                cx[b * n as usize + a] = 1.0 - e;
+            }
+        }
+        EspScorer {
+            ops,
+            gate_1q: (0..n).map(|q| 1.0 - cal.gate_1q_err(q)).collect(),
+            readout: (0..n).map(|q| 1.0 - cal.readout_err(q)).collect(),
+            cx,
+            n: n as usize,
+            too_wide: (num_physical > n).then_some(MapError::TooManyQubits {
+                circuit: num_physical,
+                device: n,
+            }),
+        }
+    }
+
+    /// The ESP of the circuit relabeled so that logical qubit `l` sits on
+    /// physical qubit `phys[l]`.
+    ///
+    /// # Errors
+    ///
+    /// The error [`esp`] gives for the relabeled circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phys` does not cover a logical index the circuit uses.
+    pub fn score(&self, phys: &[u32]) -> Result<f64, MapError> {
+        if let Some(e) = &self.too_wide {
+            return Err(e.clone());
+        }
+        let mut product = 1.0;
+        for op in &self.ops {
+            match *op {
+                ScoreOp::OneQubit(q) => product *= self.gate_1q[phys[q as usize] as usize],
+                ScoreOp::Cx(a, b) => {
+                    let (a, b) = (phys[a as usize], phys[b as usize]);
+                    let s = self.cx[a as usize * self.n + b as usize];
+                    if s.is_nan() {
+                        return Err(MapError::UncalibratedEdge { a, b });
+                    }
+                    product *= s;
+                }
+                ScoreOp::Measure(q) => product *= self.readout[phys[q as usize] as usize],
+                ScoreOp::Unsupported(name) => return Err(MapError::UnsupportedGate { name }),
+            }
+        }
+        Ok(product)
+    }
 }
 
 /// ESP restricted to the measurement terms only — useful when comparing

@@ -11,10 +11,10 @@
 //!   whose interaction graph does not embed swap-free (routing will insert
 //!   SWAPs afterwards).
 
-use crate::esp;
+use crate::esp::EspScorer;
 use crate::{Layout, MapError};
 use qcir::Circuit;
-use qdevice::mapper::{self, MapperSelection};
+use qdevice::mapper::{self, MapperSelection, SearchOutcome};
 use qdevice::{Calibration, Topology};
 
 /// Builds the interaction graph of a logical circuit: one vertex per logical
@@ -95,6 +95,10 @@ pub struct RankedLayouts {
 /// # Errors
 ///
 /// Same conditions as [`rank_embeddings`].
+///
+/// Each embedding is scored by an [`EspScorer`] as the search streams it,
+/// bit-equal to [`crate::esp::esp`] of the relabeled circuit, without
+/// building that circuit.
 pub fn rank_embeddings_with(
     circuit: &Circuit,
     topology: &Topology,
@@ -102,33 +106,11 @@ pub fn rank_embeddings_with(
     max_embeddings: usize,
     selection: MapperSelection,
 ) -> Result<RankedLayouts, MapError> {
-    if circuit.num_qubits() > topology.num_qubits() {
-        return Err(MapError::TooManyQubits {
-            circuit: circuit.num_qubits(),
-            device: topology.num_qubits(),
-        });
-    }
+    check_width(circuit, topology)?;
     let pattern = interaction_topology(circuit);
-    let set = mapper::enumerate_embeddings(&pattern, topology, max_embeddings, selection);
-    let complete = set.is_complete();
-    if !complete {
-        edm_telemetry::counter!(
-            "edm_qmap_truncated_rankings_total",
-            "ESP rankings computed over a truncated embedding pool"
-        )
-        .inc();
-    }
-    let mut ranked = Vec::with_capacity(set.embeddings.len());
-    for phi in set.embeddings {
-        let layout = Layout::from_physical(phi, topology.num_qubits());
-        let physical = layout.apply(circuit);
-        let score = esp::esp(&physical, cal)?;
-        ranked.push((layout, score));
-    }
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ESP is finite"));
-    Ok(RankedLayouts {
-        layouts: ranked,
-        complete,
+    let scorer = EspScorer::new(circuit, cal, topology.num_qubits(), |q| q.index());
+    rank_scored(&scorer, topology.num_qubits(), |visit| {
+        mapper::for_each_embedding(&pattern, topology, max_embeddings, selection, visit)
     })
 }
 
@@ -152,6 +134,11 @@ pub fn best_swap_free_placement(
 /// still a strong variation-aware placement, though no longer provably
 /// optimal.
 ///
+/// The embeddings are scored as the search streams them, keeping only the
+/// running best, so the search takes constant memory however large the
+/// pool. The result is the first maximum in enumeration order: the layout
+/// [`rank_embeddings_with`]'s stable sort puts first.
+///
 /// # Errors
 ///
 /// Same conditions as [`rank_embeddings`].
@@ -161,10 +148,92 @@ pub fn best_swap_free_placement_with(
     cal: &Calibration,
     selection: MapperSelection,
 ) -> Result<Option<Layout>, MapError> {
+    check_width(circuit, topology)?;
+    let pattern = interaction_topology(circuit);
+    let scorer = EspScorer::new(circuit, cal, topology.num_qubits(), |q| q.index());
     // Ranking wants every embedding; under a budgeted engine the search
     // itself bounds the pool instead of a result cap.
-    let ranked = rank_embeddings_with(circuit, topology, cal, usize::MAX, selection)?;
-    Ok(ranked.layouts.into_iter().next().map(|(l, _)| l))
+    best_scored(&scorer, topology.num_qubits(), |visit| {
+        mapper::for_each_embedding(&pattern, topology, usize::MAX, selection, visit)
+    })
+}
+
+/// Fails when the circuit is wider than the device.
+pub(crate) fn check_width(circuit: &Circuit, topology: &Topology) -> Result<(), MapError> {
+    if circuit.num_qubits() > topology.num_qubits() {
+        return Err(MapError::TooManyQubits {
+            circuit: circuit.num_qubits(),
+            device: topology.num_qubits(),
+        });
+    }
+    Ok(())
+}
+
+/// Runs `search` with a visitor that scores each embedding, then ranks
+/// them best first (a stable sort, so equal ESPs keep enumeration order).
+/// The first scoring error, in enumeration order, fails the ranking.
+pub(crate) fn rank_scored(
+    scorer: &EspScorer,
+    num_physical: u32,
+    search: impl FnOnce(&mut dyn FnMut(&[u32])) -> SearchOutcome,
+) -> Result<RankedLayouts, MapError> {
+    let mut scored = Vec::new();
+    let mut error = None;
+    let outcome = search(&mut |phi| match scorer.score(phi) {
+        Ok(esp) => scored.push((Layout::from_physical(phi.to_vec(), num_physical), esp)),
+        Err(e) => {
+            error.get_or_insert(e);
+        }
+    });
+    note_ranking(outcome);
+    if let Some(e) = error {
+        return Err(e);
+    }
+    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ESP is finite"));
+    Ok(RankedLayouts {
+        layouts: scored,
+        complete: outcome == SearchOutcome::Complete,
+    })
+}
+
+/// Runs `search` with a visitor that keeps the first strict ESP maximum,
+/// which is the layout [`rank_scored`] would put first.
+pub(crate) fn best_scored(
+    scorer: &EspScorer,
+    num_physical: u32,
+    search: impl FnOnce(&mut dyn FnMut(&[u32])) -> SearchOutcome,
+) -> Result<Option<Layout>, MapError> {
+    let mut best: Option<(f64, Vec<u32>)> = None;
+    let mut error = None;
+    let outcome = search(&mut |phi| match scorer.score(phi) {
+        Ok(esp) => match &mut best {
+            Some((top, top_phi)) if esp > *top => {
+                *top = esp;
+                top_phi.copy_from_slice(phi);
+            }
+            Some(_) => {}
+            None => best = Some((esp, phi.to_vec())),
+        },
+        Err(e) => {
+            error.get_or_insert(e);
+        }
+    });
+    note_ranking(outcome);
+    if let Some(e) = error {
+        return Err(e);
+    }
+    Ok(best.map(|(_, phi)| Layout::from_physical(phi, num_physical)))
+}
+
+/// Counts a ranking over a truncated pool.
+fn note_ranking(outcome: SearchOutcome) {
+    if outcome != SearchOutcome::Complete {
+        edm_telemetry::counter!(
+            "edm_qmap_truncated_rankings_total",
+            "ESP rankings computed over a truncated embedding pool"
+        )
+        .inc();
+    }
 }
 
 /// Variation-aware greedy placement for circuits that need routing.
@@ -270,6 +339,7 @@ pub fn greedy_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::esp;
     use qdevice::{presets, DeviceModel};
 
     fn setup() -> (DeviceModel, Calibration) {

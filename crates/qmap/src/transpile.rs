@@ -5,10 +5,11 @@
 //! ([`Transpiler::transpile_with_layout`]) for EDM to re-compile the same
 //! program under each of its diverse initial mappings.
 
-use crate::{esp, placement, router, sabre, Layout, MapError, RoutingStrategy};
+use crate::esp::{self, EspScorer};
+use crate::{placement, router, sabre, Layout, MapError, RoutingStrategy};
 use qcir::Circuit;
 use qdevice::drift::Quarantine;
-use qdevice::mapper::MapperSelection;
+use qdevice::mapper::{self, MapperSelection, SearchOutcome};
 use qdevice::{Calibration, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -202,30 +203,78 @@ impl<'a> Transpiler<'a> {
     /// The ESP-best swap-free placement honoring the quarantine, if any
     /// exists.
     fn swap_free_layout(&self, basis: &Circuit) -> Result<Option<Layout>, MapError> {
-        let Some(quarantine) = &self.quarantine else {
-            return placement::best_swap_free_placement_with(
-                basis,
-                self.topology,
-                self.calibration,
-                self.mapper,
-            );
-        };
-        // Enumerating on the masked graph already avoids quarantined links;
-        // the footprint filter additionally rejects layouts parking a
-        // (now isolated) quarantined qubit under a measure-only program
-        // qubit.
-        let ranked = placement::rank_embeddings_with(
-            basis,
-            self.effective_topology(),
-            self.calibration,
-            usize::MAX,
-            self.mapper,
-        )?;
-        Ok(ranked
-            .layouts
-            .into_iter()
-            .map(|(l, _)| l)
-            .find(|l| quarantine.allows_footprint(&l.physical_qubits())))
+        // Under a quarantine, no allowed embedding means `None`: greedy
+        // placement on the masked device is preferred over a swap-free one
+        // on suspect hardware.
+        placement::check_width(basis, self.topology)?;
+        let pattern = placement::interaction_topology(basis);
+        let scorer = self.scorer(basis);
+        placement::best_scored(&scorer, self.topology.num_qubits(), |visit| {
+            self.for_each_allowed_embedding(&pattern, usize::MAX, visit)
+        })
+    }
+
+    /// Streams the embeddings of `pattern` that mapping may use to `visit`
+    /// and returns how the search ended.
+    ///
+    /// Without a quarantine this is the configured engine on the full
+    /// device. Under one, the search runs on the masked topology (which
+    /// already avoids quarantined links), and only embeddings whose
+    /// footprint also avoids every quarantined qubit reach `visit`: an
+    /// isolated quarantined qubit could otherwise host a measure-only
+    /// program qubit. The outcome is the masked search's, so truncation is
+    /// decided on the raw enumeration, not on the embeddings let through.
+    fn for_each_allowed_embedding(
+        &self,
+        pattern: &Topology,
+        max_results: usize,
+        mut visit: impl FnMut(&[u32]),
+    ) -> SearchOutcome {
+        let target = self.effective_topology();
+        match &self.quarantine {
+            None => mapper::for_each_embedding(pattern, target, max_results, self.mapper, visit),
+            Some(quarantine) => {
+                mapper::for_each_embedding(pattern, target, max_results, self.mapper, |phi| {
+                    if quarantine.allows_footprint(phi) {
+                        visit(phi);
+                    }
+                })
+            }
+        }
+    }
+
+    /// Streams the candidate embeddings of `pattern` (a circuit's
+    /// interaction graph, or a routed circuit's footprint) to `visit`, at
+    /// most `max_results` of them, and returns how the search ended: the
+    /// pool behind [`Transpiler::ranked_layouts`] and EDM's ensembles.
+    ///
+    /// Under an active quarantine the search runs on the masked topology
+    /// and only quarantine-free footprints reach `visit`. If none does,
+    /// the full device is searched instead and that search's outcome
+    /// returned: quarantine is advisory and must never empty a candidate
+    /// pool.
+    pub fn for_each_candidate_embedding(
+        &self,
+        pattern: &Topology,
+        max_results: usize,
+        mut visit: impl FnMut(&[u32]),
+    ) -> SearchOutcome {
+        let mut any = false;
+        let outcome = self.for_each_allowed_embedding(pattern, max_results, |phi| {
+            any = true;
+            visit(phi);
+        });
+        if any || self.quarantine.is_none() {
+            return outcome;
+        }
+        mapper::for_each_embedding(pattern, self.topology, max_results, self.mapper, visit)
+    }
+
+    /// An ESP scorer for `basis` relabeled onto this device.
+    fn scorer(&self, basis: &Circuit) -> EspScorer {
+        EspScorer::new(basis, self.calibration, self.topology.num_qubits(), |q| {
+            q.index()
+        })
     }
 
     /// Greedy variation-aware placement honoring the quarantine when
@@ -324,42 +373,12 @@ impl<'a> Transpiler<'a> {
         max: usize,
     ) -> Result<placement::RankedLayouts, MapError> {
         let basis = circuit.decomposed();
-        let Some(quarantine) = &self.quarantine else {
-            return placement::rank_embeddings_with(
-                &basis,
-                self.topology,
-                self.calibration,
-                max,
-                self.mapper,
-            );
-        };
-        let ranked = placement::rank_embeddings_with(
-            &basis,
-            self.effective_topology(),
-            self.calibration,
-            max,
-            self.mapper,
-        )?;
-        let complete = ranked.complete;
-        let allowed: Vec<(Layout, f64)> = ranked
-            .layouts
-            .into_iter()
-            .filter(|(l, _)| quarantine.allows_footprint(&l.physical_qubits()))
-            .collect();
-        if allowed.is_empty() {
-            placement::rank_embeddings_with(
-                &basis,
-                self.topology,
-                self.calibration,
-                max,
-                self.mapper,
-            )
-        } else {
-            Ok(placement::RankedLayouts {
-                layouts: allowed,
-                complete,
-            })
-        }
+        placement::check_width(&basis, self.topology)?;
+        let pattern = placement::interaction_topology(&basis);
+        let scorer = self.scorer(&basis);
+        placement::rank_scored(&scorer, self.topology.num_qubits(), |visit| {
+            self.for_each_candidate_embedding(&pattern, max, visit)
+        })
     }
 }
 
