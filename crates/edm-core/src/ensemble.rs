@@ -24,7 +24,7 @@ use crate::metrics;
 use crate::wedm;
 use crate::EdmError;
 use qcir::{Circuit, Gate, Qubit};
-use qdevice::mapper::SearchOutcome;
+use qdevice::mapper::{EmbeddingVisitor, SearchOutcome};
 use qdevice::Topology;
 use qmap::esp::EspScorer;
 use qmap::Transpiler;
@@ -175,31 +175,19 @@ pub fn diversify_detailed(
     // best. The running best never exceeds the final one, so no record
     // the final filter keeps is dropped here.
     let scorer = EspScorer::new(physical, cal, topology.num_qubits(), |q| pos[q.usize()]);
-    let ratio = config.min_esp_ratio;
-    let filtered = ratio > 0.0;
-    let mut pool: Vec<Candidate> = Vec::new();
-    let mut best = f64::NEG_INFINITY;
-    let mut found = 0usize;
-    let mut error = None;
-    let outcome = transpiler.for_each_candidate_embedding(&pattern, config.max_candidates, |phi| {
-        found += 1;
-        match scorer.score(phi) {
-            Ok(esp) => {
-                if esp > best {
-                    best = esp;
-                }
-                if !filtered || esp >= ratio * best {
-                    pool.push(Candidate {
-                        esp,
-                        assignment: phi.to_vec(),
-                    });
-                }
-            }
-            Err(e) => {
-                error.get_or_insert(e);
-            }
-        }
-    });
+    let mut visitor = PoolVisitor {
+        scorer: &scorer,
+        ratio: (config.min_esp_ratio > 0.0).then_some(config.min_esp_ratio),
+        pool: CandidatePool::new(active.len()),
+        best: f64::NEG_INFINITY,
+        found: 0,
+        error: None,
+    };
+    let outcome = transpiler.for_each_candidate_embedding(
+        &pattern,
+        config.max_candidates,
+        &mut visitor as &mut dyn EmbeddingVisitor,
+    );
     if !matches!(outcome, SearchOutcome::Complete) {
         edm_telemetry::counter!(
             "edm_core_truncated_pools_total",
@@ -207,32 +195,34 @@ pub fn diversify_detailed(
         )
         .inc();
     }
-    if found == 0 {
+    if visitor.found == 0 {
         return Err(EdmError::NoEmbeddings);
     }
-    if let Some(e) = error {
+    if let Some(e) = visitor.error {
         return Err(e.into());
     }
-    if filtered {
-        pool.retain(|c| c.esp >= ratio * best);
+    let mut pool = visitor.pool;
+    if let Some(ratio) = visitor.ratio {
+        pool.candidates.retain(|c| c.esp >= ratio * visitor.best);
     }
-    pool.sort_by(|a, b| b.esp.partial_cmp(&a.esp).expect("ESP is finite"));
+    pool.candidates
+        .sort_by(|a, b| b.esp.partial_cmp(&a.esp).expect("ESP is finite"));
     let chosen: Vec<usize> = if config.diverse_selection {
         select_diverse(&pool, config.size)
     } else {
-        (0..pool.len().min(config.size)).collect()
+        (0..pool.candidates.len().min(config.size)).collect()
     };
     let mut members: Vec<EnsembleMember> = chosen
         .into_iter()
         .map(|i| {
-            let phi = std::mem::take(&mut pool[i].assignment);
+            let phi = pool.assignment(i).to_vec();
             let mut qubits = phi.clone();
             qubits.sort_unstable();
             EnsembleMember {
                 physical: physical.relabeled(topology.num_qubits(), |q| {
                     Qubit::new(phi[pos[q.usize()] as usize])
                 }),
-                esp: pool[i].esp,
+                esp: pool.candidates[i].esp,
                 qubits,
                 assignment: phi,
                 inverted_measurement: false,
@@ -251,11 +241,94 @@ pub fn diversify_detailed(
     Ok((members, outcome))
 }
 
-/// One scored embedding of the candidate pool: only the survivors of
-/// selection become full [`EnsembleMember`]s.
+/// The visitor [`diversify_detailed`] streams the embedding search into.
+struct PoolVisitor<'a> {
+    scorer: &'a EspScorer,
+    /// `min_esp_ratio` when it is positive; no filtering otherwise.
+    ratio: Option<f64>,
+    pool: CandidatePool,
+    /// The best ESP seen so far.
+    best: f64,
+    /// Embeddings that reached [`EmbeddingVisitor::visit`].
+    found: usize,
+    /// The first scoring error, in enumeration order.
+    error: Option<qmap::MapError>,
+}
+
+impl EmbeddingVisitor for PoolVisitor<'_> {
+    fn visit(&mut self, phi: &[u32]) {
+        self.found += 1;
+        match self.scorer.score(phi) {
+            Ok(esp) => {
+                if esp > self.best {
+                    self.best = esp;
+                }
+                if self.ratio.is_none_or(|ratio| esp >= ratio * self.best) {
+                    self.pool.push(esp, phi);
+                }
+            }
+            Err(e) => {
+                self.error.get_or_insert(e);
+            }
+        }
+    }
+
+    /// Declines a tail whose ESP bound falls below `ratio` times the
+    /// running best: each of its embeddings would fail the final filter
+    /// (the running best only grows). The ratio is capped at 1 so that a
+    /// declined embedding could not have raised the best either. With no
+    /// best yet, or filtering off, every tail is walked, and the bound is
+    /// `+∞` wherever a scoring error could hide.
+    fn tail(&mut self, partial: &[u32], used: &[bool]) -> bool {
+        match self.ratio {
+            Some(ratio) if self.best > f64::NEG_INFINITY => {
+                self.scorer.tail_bound(partial, used) >= ratio.min(1.0) * self.best
+            }
+            _ => true,
+        }
+    }
+}
+
+/// The scored embeddings kept for selection, their assignments stored
+/// back to back in one buffer: only the survivors of selection become
+/// full [`EnsembleMember`]s.
+struct CandidatePool {
+    candidates: Vec<Candidate>,
+    /// Every kept assignment, `stride` entries each.
+    assignments: Vec<u32>,
+    /// The pattern size.
+    stride: usize,
+}
+
+/// One scored embedding of the candidate pool.
 struct Candidate {
     esp: f64,
-    assignment: Vec<u32>,
+    /// Where its assignment starts in [`CandidatePool::assignments`].
+    offset: usize,
+}
+
+impl CandidatePool {
+    fn new(stride: usize) -> Self {
+        CandidatePool {
+            candidates: Vec::new(),
+            assignments: Vec::new(),
+            stride,
+        }
+    }
+
+    fn push(&mut self, esp: f64, phi: &[u32]) {
+        self.candidates.push(Candidate {
+            esp,
+            offset: self.assignments.len(),
+        });
+        self.assignments.extend_from_slice(phi);
+    }
+
+    /// The assignment of candidate `i`.
+    fn assignment(&self, i: usize) -> &[u32] {
+        let offset = self.candidates[i].offset;
+        &self.assignments[offset..offset + self.stride]
+    }
 }
 
 /// Greedy max-min diversity selection: start from the ESP-best candidate,
@@ -271,20 +344,20 @@ struct Candidate {
 /// `pool` is ESP-descending; returns indices into it, ESP-descending. Each
 /// candidate keeps its distance to the nearest selected one, updated only
 /// against the newest pick, so a pick costs one pass over the pool.
-fn select_diverse(pool: &[Candidate], size: usize) -> Vec<usize> {
-    if pool.len() <= size {
-        return (0..pool.len()).collect();
+fn select_diverse(pool: &CandidatePool, size: usize) -> Vec<usize> {
+    let n = pool.candidates.len();
+    if n <= size {
+        return (0..n).collect();
     }
-    let distance = |a: &Candidate, b: &Candidate| -> usize {
-        a.assignment
+    let distance = |a: usize, b: usize| -> usize {
+        pool.assignment(a)
             .iter()
-            .zip(&b.assignment)
+            .zip(pool.assignment(b))
             .filter(|(x, y)| x != y)
             .count()
     };
     // `None` marks a selected candidate.
-    let mut nearest: Vec<Option<usize>> =
-        pool.iter().map(|c| Some(distance(c, &pool[0]))).collect();
+    let mut nearest: Vec<Option<usize>> = (0..n).map(|i| Some(distance(i, 0))).collect();
     nearest[0] = None;
     let mut selected = vec![0];
     while selected.len() < size {
@@ -302,19 +375,15 @@ fn select_diverse(pool: &[Candidate], size: usize) -> Vec<usize> {
         nearest[pick] = None;
         for (i, d) in nearest.iter_mut().enumerate() {
             if let Some(d) = d {
-                *d = (*d).min(distance(&pool[i], &pool[pick]));
+                *d = (*d).min(distance(i, pick));
             }
         }
         selected.push(pick);
     }
     // Restore the ESP-descending order contract (index 0 = best estimated),
     // keeping pick order among equal ESPs.
-    selected.sort_by(|&a, &b| {
-        pool[b]
-            .esp
-            .partial_cmp(&pool[a].esp)
-            .expect("ESP is finite")
-    });
+    let esp = |i: usize| pool.candidates[i].esp;
+    selected.sort_by(|&a, &b| esp(b).partial_cmp(&esp(a)).expect("ESP is finite"));
     selected
 }
 

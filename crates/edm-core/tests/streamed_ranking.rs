@@ -211,13 +211,35 @@ fn pool_size(t: &Transpiler<'_>, pattern: &Topology) -> usize {
     .len()
 }
 
-/// Caps just below, at and just above the pool size.
+/// Caps at half the pool (inside the search, where a cap can land in a
+/// tail VF2 counts without walking it), just below, at and just above
+/// the pool size.
 fn caps_around(pool: usize) -> Vec<usize> {
     let mut caps = vec![pool, pool + 1];
     if pool > 0 {
         caps.insert(0, pool - 1);
     }
+    if pool > 2 {
+        caps.insert(0, pool / 2);
+    }
     caps
+}
+
+/// Embeddings the reference may materialise per ranking: idle qubits are
+/// dropped until the logical pattern's pool fits.
+const MAX_REFERENCE_POOL: usize = 20_000;
+
+/// True when `pattern` has at most [`MAX_REFERENCE_POOL`] embeddings on
+/// `target` (counted without collecting them).
+fn pool_fits(pattern: &Topology, target: &Topology) -> bool {
+    let outcome = mapper::for_each_embedding(
+        pattern,
+        target,
+        MAX_REFERENCE_POOL,
+        MapperSelection::Exhaustive,
+        |_: &[u32]| {},
+    );
+    outcome == SearchOutcome::Complete
 }
 
 /// The footprint pattern `diversify` embeds: active qubits re-indexed.
@@ -288,7 +310,7 @@ proptest! {
         size in 2u32..6,
         parents in proptest::collection::vec(0u32..64, 4..5),
         extra in proptest::collection::vec((0u32..6, 0u32..6), 0..3),
-        idle_draw in 0u32..2,
+        idle_draw in 0u32..4,
         ones in proptest::collection::vec(0u32..8, 0..6),
         quarantined in proptest::collection::vec(0u32..20, 0..3),
         quarantine_link in 0u32..2,
@@ -297,10 +319,19 @@ proptest! {
         ensemble_size in 1usize..6,
     ) {
         // Idle qubits multiply the pool by the free device qubits, so only
-        // small connected parts get one: the reference materialises all.
-        let idle = if size <= 3 { idle_draw } else { 0 };
-        let circuit = random_circuit(size, &parents, &extra, idle, &ones);
+        // small connected parts get them, and no more than keep the pool
+        // small enough for the reference to materialise. Several give VF2
+        // tails at more than one level.
         let d = fleet_device(device, device_seed);
+        let mut idle = if size <= 3 { idle_draw } else { 0 };
+        let circuit = loop {
+            let circuit = random_circuit(size, &parents, &extra, idle, &ones);
+            let logical = placement::interaction_topology(&circuit.decomposed());
+            if idle == 0 || pool_fits(&logical, d.topology()) {
+                break circuit;
+            }
+            idle -= 1;
+        };
         let cal = d.calibration();
         let topology = d.topology();
         let mut quarantine = Quarantine::new();

@@ -42,7 +42,7 @@
 //! assert!(set.embeddings.len() >= 5);
 //! ```
 
-use crate::mapper::{EmbeddingSet, SearchOutcome};
+use crate::mapper::{EmbeddingSet, EmbeddingVisitor, SearchOutcome};
 use crate::{vf2, Topology};
 
 /// Budgets for one filtered depth-limited search.
@@ -99,7 +99,7 @@ pub fn search(
     config: &FdlsConfig,
 ) -> EmbeddingSet {
     let mut embeddings = Vec::new();
-    let outcome = for_each(pattern, target, max_results, config, |phi| {
+    let outcome = for_each(pattern, target, max_results, config, |phi: &[u32]| {
         embeddings.push(phi.to_vec())
     });
     EmbeddingSet {
@@ -113,12 +113,16 @@ pub fn search(
 /// the search still looks for one more to report a clipped pool as
 /// [`SearchOutcome::Truncated`]. The `edm_qdevice_fdls_us` histogram times
 /// the whole walk, the visitor's work included.
+///
+/// The visitor's [`EmbeddingVisitor::tail`] hook is never asked: the node
+/// budgets decide which subtrees FDLS explores, and a subtree skipped in
+/// closed form would spend no budget, changing which embeddings follow.
 pub(crate) fn for_each(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
     config: &FdlsConfig,
-    mut visit: impl FnMut(&[u32]),
+    mut visit: impl EmbeddingVisitor,
 ) -> SearchOutcome {
     let _span = edm_telemetry::trace::span("fdls_search");
     let (visited, outcome) = edm_telemetry::histogram!(
@@ -148,7 +152,7 @@ fn for_each_inner(
     target: &Topology,
     max_results: usize,
     config: &FdlsConfig,
-    visit: &mut impl FnMut(&[u32]),
+    visit: &mut impl EmbeddingVisitor,
 ) -> (u64, SearchOutcome) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
@@ -156,7 +160,7 @@ fn for_each_inner(
         if max_results == 0 {
             return (0, SearchOutcome::Complete);
         }
-        visit(&[]);
+        visit.visit(&[]);
         return (1, SearchOutcome::Complete);
     }
     if pn > tn {
@@ -265,7 +269,7 @@ fn dominates(target_sig: &[usize], pattern_sig: &[usize]) -> bool {
     pattern_sig.len() <= target_sig.len() && pattern_sig.iter().zip(target_sig).all(|(p, t)| p <= t)
 }
 
-struct Search<'a, F> {
+struct Search<'a, F: ?Sized> {
     pattern: &'a Topology,
     target: &'a Topology,
     order: Vec<u32>,
@@ -273,7 +277,7 @@ struct Search<'a, F> {
     cand_mask: Vec<Vec<bool>>,
     mapping: Vec<u32>,
     used: Vec<bool>,
-    visit: F,
+    visit: &'a mut F,
     /// Embeddings found so far, the one past the cap included.
     found: usize,
     max_results: usize,
@@ -290,7 +294,7 @@ struct Search<'a, F> {
     truncated: bool,
 }
 
-impl<F: FnMut(&[u32])> Search<'_, F> {
+impl<F: EmbeddingVisitor + ?Sized> Search<'_, F> {
     /// Counts one node expansion against both budgets. Returns false (and
     /// raises the corresponding flags) when a budget is exhausted.
     fn charge_expansion(&mut self) -> bool {
@@ -313,7 +317,7 @@ impl<F: FnMut(&[u32])> Search<'_, F> {
         if depth == self.order.len() {
             self.found += 1;
             if self.found <= self.max_results {
-                (self.visit)(&self.mapping);
+                self.visit.visit(&self.mapping);
             }
             if self.found >= self.limit {
                 self.truncated = true;

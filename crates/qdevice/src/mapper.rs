@@ -56,6 +56,54 @@ impl EmbeddingSet {
     }
 }
 
+/// What an embedding search reports to: every embedding, plus an advisory
+/// question before each subtree that only places isolated pattern
+/// vertices.
+///
+/// Any `FnMut(&[u32])` closure is a visitor that keeps every tail, so a
+/// caller that only consumes embeddings passes a closure (with its
+/// parameter typed `&[u32]`, which inference cannot supply through the
+/// trait). A caller that
+/// can tell when a whole tail cannot matter to it (say, none of its
+/// embeddings can beat a running best score) implements
+/// [`EmbeddingVisitor::tail`] as well, and exhaustive VF2 then counts that
+/// tail in closed form instead of walking it: the search outcome, the
+/// result cap and the telemetry counters come out exactly as if every
+/// embedding of it had been visited. A visitor's result must never depend
+/// on whether a tail was skipped.
+pub trait EmbeddingVisitor {
+    /// Receives one embedding, indexed by pattern vertex.
+    fn visit(&mut self, phi: &[u32]);
+
+    /// Asked before the search expands a subtree in which every remaining
+    /// pattern vertex is isolated, so each completion places them on
+    /// distinct free target vertices. `partial` is the assignment so far,
+    /// indexed by pattern vertex, with `u32::MAX` for unplaced vertices;
+    /// `used` marks the target vertices it occupies. Returning false
+    /// skips the whole subtree. Engines may ignore the hook (FDLS does):
+    /// it is advice, and the default keeps every tail.
+    fn tail(&mut self, partial: &[u32], used: &[bool]) -> bool {
+        let _ = (partial, used);
+        true
+    }
+}
+
+impl<F: FnMut(&[u32])> EmbeddingVisitor for F {
+    fn visit(&mut self, phi: &[u32]) {
+        self(phi)
+    }
+}
+
+impl EmbeddingVisitor for &mut (dyn EmbeddingVisitor + '_) {
+    fn visit(&mut self, phi: &[u32]) {
+        (**self).visit(phi)
+    }
+
+    fn tail(&mut self, partial: &[u32], used: &[bool]) -> bool {
+        (**self).tail(partial, used)
+    }
+}
+
 /// Which embedding engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum MapperSelection {
@@ -116,7 +164,7 @@ pub fn enumerate_embeddings(
     selection: MapperSelection,
 ) -> EmbeddingSet {
     let mut embeddings = Vec::new();
-    let outcome = for_each_embedding(pattern, target, max_results, selection, |phi| {
+    let outcome = for_each_embedding(pattern, target, max_results, selection, |phi: &[u32]| {
         embeddings.push(phi.to_vec())
     });
     EmbeddingSet {
@@ -133,7 +181,9 @@ pub fn enumerate_embeddings(
 /// few never allocates one per embedding. At most `max_results` reach
 /// `visit`; the engine still looks for one more to report a clipped pool
 /// as [`SearchOutcome::Truncated`], and the engines' telemetry counts the
-/// embeddings `visit` saw.
+/// embeddings the search covered. Exhaustive VF2 asks
+/// [`EmbeddingVisitor::tail`] before each isolated-vertex subtree and
+/// counts a declined one without visiting it; FDLS never asks.
 ///
 /// # Examples
 ///
@@ -147,7 +197,7 @@ pub fn enumerate_embeddings(
 ///     &presets::line(4),
 ///     3,
 ///     MapperSelection::Exhaustive,
-///     |_phi| seen += 1,
+///     |_phi: &[u32]| seen += 1,
 /// );
 /// assert_eq!(seen, 3);
 /// assert!(matches!(outcome, SearchOutcome::Truncated { .. }));
@@ -157,7 +207,7 @@ pub fn for_each_embedding(
     target: &Topology,
     max_results: usize,
     selection: MapperSelection,
-    visit: impl FnMut(&[u32]),
+    visit: impl EmbeddingVisitor,
 ) -> SearchOutcome {
     match selection.resolve(target) {
         MapperSelection::Exhaustive => vf2::for_each(pattern, target, max_results, visit),

@@ -12,7 +12,7 @@
 //! but extra target edges between mapped vertices are allowed — exactly what
 //! qubit mapping needs.
 
-use crate::mapper::{EmbeddingSet, SearchOutcome};
+use crate::mapper::{EmbeddingSet, EmbeddingVisitor, SearchOutcome};
 use crate::Topology;
 
 /// Enumerates injective mappings `phi` from pattern vertices to target
@@ -55,7 +55,7 @@ pub fn enumerate_subgraph_isomorphisms(
 /// `edm_qdevice_vf2_cap_hits_total` telemetry counter).
 pub fn enumerate(pattern: &Topology, target: &Topology, max_results: usize) -> EmbeddingSet {
     let mut embeddings = Vec::new();
-    let outcome = for_each(pattern, target, max_results, |phi| {
+    let outcome = for_each(pattern, target, max_results, |phi: &[u32]| {
         embeddings.push(phi.to_vec())
     });
     EmbeddingSet {
@@ -72,11 +72,17 @@ pub fn enumerate(pattern: &Topology, target: &Topology, max_results: usize) -> E
 /// for one more to tell a clipped pool ([`SearchOutcome::Truncated`]) from
 /// one of exactly `max_results`. The `edm_qdevice_vf2_us` histogram times
 /// the whole walk, the visitor's work included.
+///
+/// Before expanding a subtree that only places isolated pattern vertices,
+/// the search asks [`EmbeddingVisitor::tail`]; a declined tail is counted
+/// in closed form (see [`Tail`]) and its embeddings never reach `visit`,
+/// but the outcome, `explored` and the counters are those of the full
+/// walk.
 pub(crate) fn for_each(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
-    mut visit: impl FnMut(&[u32]),
+    mut visit: impl EmbeddingVisitor,
 ) -> SearchOutcome {
     let _span = edm_telemetry::trace::span("vf2_enumerate");
     let (visited, outcome) = edm_telemetry::histogram!(
@@ -86,7 +92,7 @@ pub(crate) fn for_each(
     .time(|| for_each_inner(pattern, target, max_results, &mut visit));
     edm_telemetry::counter!(
         "edm_qdevice_vf2_embeddings_total",
-        "Embeddings produced by VF2 enumeration"
+        "Embeddings covered by VF2 enumeration, tails counted without visiting them included"
     )
     .add(visited);
     if outcome != SearchOutcome::Complete {
@@ -99,13 +105,13 @@ pub(crate) fn for_each(
     outcome
 }
 
-/// Runs the search; returns how many embeddings reached `visit` and the
-/// outcome.
+/// Runs the search; returns how many embeddings it covered (at most
+/// `max_results`) and the outcome.
 fn for_each_inner(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
-    visit: &mut impl FnMut(&[u32]),
+    visit: &mut impl EmbeddingVisitor,
 ) -> (u64, SearchOutcome) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
@@ -113,7 +119,7 @@ fn for_each_inner(
         if max_results == 0 {
             return (0, SearchOutcome::Complete);
         }
-        visit(&[]);
+        visit.visit(&[]);
         return (1, SearchOutcome::Complete);
     }
     if pn > tn {
@@ -123,10 +129,17 @@ fn for_each_inner(
     // Search one past the cap: finding max_results + 1 embeddings proves
     // the cap actually clipped the pool.
     let order = matching_order(pattern);
+    // Isolated vertices come last in the order, so every level from here
+    // down places an isolated vertex on any free target.
+    let tail_start = order
+        .iter()
+        .position(|&v| pattern.degree(v) == 0)
+        .unwrap_or(pn);
     let mut state = State {
         pattern,
         target,
         order,
+        tail_start,
         mapping: vec![u32::MAX; pn],
         used: vec![false; tn],
         visit,
@@ -155,9 +168,10 @@ pub fn is_embeddable(pattern: &Topology, target: &Topology) -> bool {
 /// Computes a matching order: vertices sorted so that every vertex after the
 /// first of its connected component has at least one earlier neighbor.
 /// Components are visited by descending maximum degree, which narrows the
-/// candidate sets early. Shared with [`crate::fdls`] so both engines walk
-/// the same search tree shape (their embedding *sets* must agree whenever
-/// FDLS runs unbudgeted).
+/// candidate sets early and puts every isolated vertex after all the
+/// others (VF2's closed-form tails rely on that). Shared with
+/// [`crate::fdls`] so both engines walk the same search tree shape (their
+/// embedding *sets* must agree whenever FDLS runs unbudgeted).
 pub(crate) fn matching_order(pattern: &Topology) -> Vec<u32> {
     let n = pattern.num_qubits();
     let mut order = Vec::with_capacity(n as usize);
@@ -197,13 +211,15 @@ pub(crate) fn matching_order(pattern: &Topology) -> Vec<u32> {
     order
 }
 
-struct State<'a, F> {
+struct State<'a, F: ?Sized> {
     pattern: &'a Topology,
     target: &'a Topology,
     order: Vec<u32>,
+    /// Depth of the first isolated vertex in `order`.
+    tail_start: usize,
     mapping: Vec<u32>,
     used: Vec<bool>,
-    visit: F,
+    visit: &'a mut F,
     /// Embeddings found so far, the one past the cap included.
     found: usize,
     max_results: usize,
@@ -213,7 +229,7 @@ struct State<'a, F> {
     nodes: u64,
 }
 
-impl<F: FnMut(&[u32])> State<'_, F> {
+impl<F: EmbeddingVisitor + ?Sized> State<'_, F> {
     fn search(&mut self, depth: usize) {
         if self.found >= self.limit {
             return;
@@ -221,8 +237,12 @@ impl<F: FnMut(&[u32])> State<'_, F> {
         if depth == self.order.len() {
             self.found += 1;
             if self.found <= self.max_results {
-                (self.visit)(&self.mapping);
+                self.visit.visit(&self.mapping);
             }
+            return;
+        }
+        if depth >= self.tail_start && !self.visit.tail(&self.mapping, &self.used) {
+            self.skip_tail(depth);
             return;
         }
         let v = self.order[depth];
@@ -281,6 +301,67 @@ impl<F: FnMut(&[u32])> State<'_, F> {
         self.mapping[v as usize] = u32::MAX;
         self.found >= self.limit
     }
+
+    /// Accounts for the subtree below `depth` as if it had been walked:
+    /// the embeddings it holds (up to the search limit) and the nodes the
+    /// walk would have expanded before finishing it or hitting the limit.
+    fn skip_tail(&mut self, depth: usize) {
+        let tail = Tail {
+            free: (self.target.num_qubits() as usize - depth) as u128,
+            levels: (self.order.len() - depth) as u128,
+        };
+        let room = (self.limit - self.found) as u128;
+        let (leaves, nodes) = if tail.leaves() < room {
+            (tail.leaves(), tail.nodes())
+        } else {
+            (room, tail.nodes_through(room - 1))
+        };
+        // `leaves <= room`, so this stays within `limit`.
+        self.found += leaves as usize;
+        self.nodes = self
+            .nodes
+            .saturating_add(u64::try_from(nodes).unwrap_or(u64::MAX));
+    }
+}
+
+/// A subtree that places `levels` isolated pattern vertices on `free`
+/// unused target vertices. Each level tries every free target in
+/// ascending order, so the subtree is a complete tree of arrangements and
+/// its counts have closed forms in the falling factorial
+/// `P(n, k) = n! / (n - k)!`. Counts saturate at `u128::MAX`.
+#[derive(Debug, Clone, Copy)]
+struct Tail {
+    free: u128,
+    levels: u128,
+}
+
+impl Tail {
+    /// Embeddings in the subtree: `P(free, levels)`.
+    fn leaves(self) -> u128 {
+        falling(self.free, self.levels)
+    }
+
+    /// Nodes a full walk expands: `Σ_{j=1..levels} P(free, j)`.
+    fn nodes(self) -> u128 {
+        (1..=self.levels).fold(0u128, |sum, j| sum.saturating_add(falling(self.free, j)))
+    }
+
+    /// Nodes a walk expands up to and including the leaf with 0-based
+    /// index `leaf`: a node at level `j` heads `P(free - j, levels - j)`
+    /// consecutive leaves, so `⌊leaf / P(free - j, levels - j)⌋ + 1` of
+    /// them are expanded by then.
+    fn nodes_through(self, leaf: u128) -> u128 {
+        (1..=self.levels).fold(0u128, |sum, j| {
+            let below = falling(self.free - j, self.levels - j);
+            sum.saturating_add(leaf / below + 1)
+        })
+    }
+}
+
+/// The falling factorial `P(n, k) = n (n - 1) ... (n - k + 1)`,
+/// saturating at `u128::MAX`.
+fn falling(n: u128, k: u128) -> u128 {
+    (0..k).fold(1u128, |p, i| p.saturating_mul(n - i))
 }
 
 #[cfg(test)]

@@ -118,6 +118,9 @@ pub struct EspScorer {
     n: usize,
     /// Set when the relabeled circuit is wider than the calibration.
     too_wide: Option<MapError>,
+    /// Single-qubit gates and measurements on each logical qubit, for
+    /// [`EspScorer::tail_bound`].
+    counts: Vec<(i32, i32)>,
 }
 
 /// One gate of a compiled [`EspScorer`], on logical qubit indices.
@@ -139,7 +142,7 @@ impl EspScorer {
         num_physical: u32,
         logical: impl Fn(Qubit) -> u32,
     ) -> Self {
-        let ops = circuit
+        let ops: Vec<ScoreOp> = circuit
             .iter()
             .map(|g| match *g {
                 Gate::Cx(a, b) => ScoreOp::Cx(logical(a), logical(b)),
@@ -148,6 +151,22 @@ impl EspScorer {
                 ref other => ScoreOp::Unsupported(other.name()),
             })
             .collect();
+        let mut counts: Vec<(i32, i32)> = Vec::new();
+        for op in &ops {
+            let (q, gate) = match *op {
+                ScoreOp::OneQubit(q) => (q as usize, true),
+                ScoreOp::Measure(q) => (q as usize, false),
+                _ => continue,
+            };
+            if counts.len() <= q {
+                counts.resize(q + 1, (0, 0));
+            }
+            if gate {
+                counts[q].0 += 1;
+            } else {
+                counts[q].1 += 1;
+            }
+        }
         let n = cal.num_qubits();
         let mut cx = vec![f64::NAN; n as usize * n as usize];
         for (edge, &e) in cal.cx_table() {
@@ -168,6 +187,7 @@ impl EspScorer {
                 circuit: num_physical,
                 device: n,
             }),
+            counts,
         }
     }
 
@@ -203,6 +223,84 @@ impl EspScorer {
         }
         Ok(product)
     }
+
+    /// An upper bound on [`EspScorer::score`] over every completion of a
+    /// partial assignment that places the missing logical qubits on
+    /// distinct free physical qubits: `partial[l]` is `l`'s physical qubit
+    /// or `u32::MAX`, and `used[p]` marks the physical qubits taken.
+    ///
+    /// The bound multiplies the factors of every gate whose qubits are
+    /// placed; for each unplaced qubit `l`, the best `gate_1q[p]^a ·
+    /// readout[p]^m` over free `p`, with `a` and `m` its single-qubit
+    /// gate and measurement counts; and a slack of `1 + 4 (ops + 2) ε`
+    /// that covers the rounding of `score`'s gate-order product and of
+    /// the bound itself, so it holds for the computed floats too. It is
+    /// `+∞` when a completion could fail to score (an uncalibrated placed
+    /// pair, an unsupported gate, a CX on an unplaced qubit, a circuit too
+    /// wide), so a caller that compares against it never discards an
+    /// error, and when the bound would be subnormal, where the slack no
+    /// longer covers the rounding. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partial` does not cover a logical index the circuit
+    /// uses, or `used` names a qubit the calibration lacks.
+    pub fn tail_bound(&self, partial: &[u32], used: &[bool]) -> f64 {
+        if self.too_wide.is_some() {
+            return f64::INFINITY;
+        }
+        let mut product = 1.0;
+        for op in &self.ops {
+            match *op {
+                ScoreOp::OneQubit(q) => {
+                    if let Some(p) = placed(partial, q) {
+                        product *= self.gate_1q[p];
+                    }
+                }
+                ScoreOp::Measure(q) => {
+                    if let Some(p) = placed(partial, q) {
+                        product *= self.readout[p];
+                    }
+                }
+                ScoreOp::Cx(a, b) => {
+                    let (Some(a), Some(b)) = (placed(partial, a), placed(partial, b)) else {
+                        return f64::INFINITY;
+                    };
+                    let s = self.cx[a * self.n + b];
+                    if s.is_nan() {
+                        return f64::INFINITY;
+                    }
+                    product *= s;
+                }
+                ScoreOp::Unsupported(_) => return f64::INFINITY,
+            }
+        }
+        for (l, &(gates, measures)) in self.counts.iter().enumerate() {
+            if partial[l] != u32::MAX || (gates == 0 && measures == 0) {
+                continue;
+            }
+            let best = used
+                .iter()
+                .enumerate()
+                .filter(|&(_, &taken)| !taken)
+                .map(|(p, _)| self.gate_1q[p].powi(gates) * self.readout[p].powi(measures))
+                .fold(0.0, f64::max);
+            product *= best;
+        }
+        let bound = product * (1.0 + 4.0 * (self.ops.len() + 2) as f64 * f64::EPSILON);
+        // The relative slack says nothing once products go subnormal.
+        if bound < f64::MIN_POSITIVE {
+            f64::INFINITY
+        } else {
+            bound
+        }
+    }
+}
+
+/// The physical qubit logical qubit `q` sits on in `partial`, if placed.
+fn placed(partial: &[u32], q: u32) -> Option<usize> {
+    let p = partial[q as usize];
+    (p != u32::MAX).then_some(p as usize)
 }
 
 /// ESP restricted to the measurement terms only — useful when comparing
@@ -299,6 +397,95 @@ mod tests {
         c.cx(0, 1).measure(0, 0);
         let got = measurement_esp(&c, &cal3()).unwrap();
         assert!((got - 0.95).abs() < 1e-12);
+    }
+
+    /// Every completion of `partial` over the free qubits, as full
+    /// assignments.
+    fn completions(partial: &[u32], used: &[bool], out: &mut Vec<Vec<u32>>) {
+        let Some(l) = partial.iter().position(|&p| p == u32::MAX) else {
+            out.push(partial.to_vec());
+            return;
+        };
+        let (mut partial, mut used) = (partial.to_vec(), used.to_vec());
+        for p in 0..used.len() {
+            if !used[p] {
+                (partial[l], used[p]) = (p as u32, true);
+                completions(&partial, &used, out);
+                used[p] = false;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn tail_bound_dominates_every_completion(
+            seed in 0u64..1_000,
+            size in 1u32..4,
+            idle in 1u32..4,
+            ones in proptest::collection::vec((0u32..8, 0u32..3), 0..12),
+            embedding in 0usize..1_000,
+            placed_idle in 0u32..3,
+            spots in proptest::collection::vec(0u32..14, 3..4),
+        ) {
+            use qdevice::{presets, vf2, DeviceModel, Topology};
+            let device = DeviceModel::synthesize(presets::melbourne14(), seed);
+            let cal = device.calibration();
+            // A path over the first `size` qubits, then `idle` qubits
+            // that only see single-qubit gates and measurements.
+            let n = size + idle;
+            let mut c = Circuit::new(n, n);
+            for v in 1..size {
+                c.cx(v - 1, v);
+            }
+            for &(q, kind) in &ones {
+                match kind {
+                    0 => c.h(q % n),
+                    1 => c.t(q % n),
+                    _ => c.measure(q % n, q % n),
+                };
+            }
+            c.measure_all();
+            let scorer = EspScorer::new(&c, &cal, 14, |q| q.index());
+
+            // Place the path on a real embedding, then some idle qubits.
+            let edges: Vec<(u32, u32)> = (1..size).map(|v| (v - 1, v)).collect();
+            let path = Topology::new(size, &edges);
+            let found = vf2::enumerate_subgraph_isomorphisms(&path, device.topology(), usize::MAX);
+            let mut partial = vec![u32::MAX; n as usize];
+            let mut used = vec![false; 14];
+            for (l, &p) in found[embedding % found.len()].iter().enumerate() {
+                (partial[l], used[p as usize]) = (p, true);
+            }
+            for (l, &spot) in (size..n).zip(&spots).take(placed_idle as usize) {
+                let p = (0..14).map(|i| (spot + i) % 14).find(|&p| !used[p as usize]).unwrap();
+                (partial[l as usize], used[p as usize]) = (p, true);
+            }
+
+            let bound = scorer.tail_bound(&partial, &used);
+            proptest::prop_assert!(bound.is_finite());
+            let mut all = Vec::new();
+            completions(&partial, &used, &mut all);
+            for phi in all {
+                let esp = scorer.score(&phi).unwrap();
+                proptest::prop_assert!(bound >= esp, "{} < {} at {:?}", bound, esp, phi);
+            }
+        }
+    }
+
+    #[test]
+    fn tail_bound_is_infinite_over_an_uncalibrated_placed_cx() {
+        let mut c = Circuit::new(3, 3);
+        c.cx(0, 1).h(2).measure_all();
+        let scorer = EspScorer::new(&c, &cal3(), 3, |q| q.index());
+        // Qubits 0 and 2 share no calibrated link; qubit 2's host is open.
+        let bound = scorer.tail_bound(&[0, 2, u32::MAX], &[true, false, true]);
+        assert_eq!(bound, f64::INFINITY);
+        // On a calibrated link the bound is finite and above the score.
+        let bound = scorer.tail_bound(&[0, 1, u32::MAX], &[true, true, false]);
+        assert!(bound.is_finite());
+        assert!(bound >= scorer.score(&[0, 1, 2]).unwrap());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::esp::EspScorer;
 use crate::{Layout, MapError};
 use qcir::Circuit;
-use qdevice::mapper::{self, MapperSelection, SearchOutcome};
+use qdevice::mapper::{self, EmbeddingVisitor, MapperSelection, SearchOutcome};
 use qdevice::{Calibration, Topology};
 
 /// Builds the interaction graph of a logical circuit: one vertex per logical
@@ -198,31 +198,61 @@ pub(crate) fn rank_scored(
 
 /// Runs `search` with a visitor that keeps the first strict ESP maximum,
 /// which is the layout [`rank_scored`] would put first.
+///
+/// Once it holds a best, the visitor declines every tail whose
+/// [`EspScorer::tail_bound`] does not exceed it: nothing in such a tail
+/// is a strict improvement, and the bound is `+∞` wherever a scoring
+/// error could hide.
 pub(crate) fn best_scored(
     scorer: &EspScorer,
     num_physical: u32,
-    search: impl FnOnce(&mut dyn FnMut(&[u32])) -> SearchOutcome,
+    search: impl FnOnce(&mut dyn EmbeddingVisitor) -> SearchOutcome,
 ) -> Result<Option<Layout>, MapError> {
-    let mut best: Option<(f64, Vec<u32>)> = None;
-    let mut error = None;
-    let outcome = search(&mut |phi| match scorer.score(phi) {
-        Ok(esp) => match &mut best {
-            Some((top, top_phi)) if esp > *top => {
-                *top = esp;
-                top_phi.copy_from_slice(phi);
-            }
-            Some(_) => {}
-            None => best = Some((esp, phi.to_vec())),
-        },
-        Err(e) => {
-            error.get_or_insert(e);
-        }
-    });
+    let mut visitor = BestVisitor {
+        scorer,
+        best: None,
+        error: None,
+    };
+    let outcome = search(&mut visitor);
     note_ranking(outcome);
-    if let Some(e) = error {
+    if let Some(e) = visitor.error {
         return Err(e);
     }
-    Ok(best.map(|(_, phi)| Layout::from_physical(phi, num_physical)))
+    Ok(visitor
+        .best
+        .map(|(_, phi)| Layout::from_physical(phi, num_physical)))
+}
+
+/// The visitor of [`best_scored`]: the running best and the first error.
+struct BestVisitor<'a> {
+    scorer: &'a EspScorer,
+    best: Option<(f64, Vec<u32>)>,
+    error: Option<MapError>,
+}
+
+impl EmbeddingVisitor for BestVisitor<'_> {
+    fn visit(&mut self, phi: &[u32]) {
+        match self.scorer.score(phi) {
+            Ok(esp) => match &mut self.best {
+                Some((top, top_phi)) if esp > *top => {
+                    *top = esp;
+                    top_phi.copy_from_slice(phi);
+                }
+                Some(_) => {}
+                None => self.best = Some((esp, phi.to_vec())),
+            },
+            Err(e) => {
+                self.error.get_or_insert(e);
+            }
+        }
+    }
+
+    fn tail(&mut self, partial: &[u32], used: &[bool]) -> bool {
+        match &self.best {
+            Some((top, _)) => self.scorer.tail_bound(partial, used) > *top,
+            None => true,
+        }
+    }
 }
 
 /// Counts a ranking over a truncated pool.

@@ -9,7 +9,7 @@ use crate::esp::{self, EspScorer};
 use crate::{placement, router, sabre, Layout, MapError, RoutingStrategy};
 use qcir::Circuit;
 use qdevice::drift::Quarantine;
-use qdevice::mapper::{self, MapperSelection, SearchOutcome};
+use qdevice::mapper::{self, EmbeddingVisitor, MapperSelection, SearchOutcome};
 use qdevice::{Calibration, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -224,21 +224,24 @@ impl<'a> Transpiler<'a> {
     /// isolated quarantined qubit could otherwise host a measure-only
     /// program qubit. The outcome is the masked search's, so truncation is
     /// decided on the raw enumeration, not on the embeddings let through.
+    /// Tail questions go to `visit` unchanged: a tail it declines holds
+    /// nothing it wants, allowed or not.
     fn for_each_allowed_embedding(
         &self,
         pattern: &Topology,
         max_results: usize,
-        mut visit: impl FnMut(&[u32]),
+        visit: &mut dyn EmbeddingVisitor,
     ) -> SearchOutcome {
         let target = self.effective_topology();
         match &self.quarantine {
             None => mapper::for_each_embedding(pattern, target, max_results, self.mapper, visit),
             Some(quarantine) => {
-                mapper::for_each_embedding(pattern, target, max_results, self.mapper, |phi| {
+                let allowed = leaves(visit, |visit, phi| {
                     if quarantine.allows_footprint(phi) {
-                        visit(phi);
+                        visit.visit(phi);
                     }
-                })
+                });
+                mapper::for_each_embedding(pattern, target, max_results, self.mapper, allowed)
             }
         }
     }
@@ -253,17 +256,23 @@ impl<'a> Transpiler<'a> {
     /// the full device is searched instead and that search's outcome
     /// returned: quarantine is advisory and must never empty a candidate
     /// pool.
+    ///
+    /// Tail questions reach `visit` as asked (see
+    /// [`EmbeddingVisitor::tail`]). A visitor declines a tail only against
+    /// what it has already seen, so the fallback still runs exactly when
+    /// no allowed embedding reached `visit`.
     pub fn for_each_candidate_embedding(
         &self,
         pattern: &Topology,
         max_results: usize,
-        mut visit: impl FnMut(&[u32]),
+        mut visit: impl EmbeddingVisitor,
     ) -> SearchOutcome {
         let mut any = false;
-        let outcome = self.for_each_allowed_embedding(pattern, max_results, |phi| {
+        let mut seen = leaves(&mut visit, |visit, phi| {
             any = true;
-            visit(phi);
+            visit.visit(phi);
         });
+        let outcome = self.for_each_allowed_embedding(pattern, max_results, &mut seen);
         if any || self.quarantine.is_none() {
             return outcome;
         }
@@ -379,6 +388,31 @@ impl<'a> Transpiler<'a> {
         placement::rank_scored(&scorer, self.topology.num_qubits(), |visit| {
             self.for_each_candidate_embedding(&pattern, max, visit)
         })
+    }
+}
+
+/// A visitor that hands each embedding to `leaf` along with `inner`, and
+/// forwards tail questions to `inner` unchanged.
+struct Leaves<'v, F> {
+    inner: &'v mut dyn EmbeddingVisitor,
+    leaf: F,
+}
+
+/// Wraps `inner` so that its embeddings pass through `leaf` first.
+fn leaves<F: FnMut(&mut dyn EmbeddingVisitor, &[u32])>(
+    inner: &mut dyn EmbeddingVisitor,
+    leaf: F,
+) -> Leaves<'_, F> {
+    Leaves { inner, leaf }
+}
+
+impl<F: FnMut(&mut dyn EmbeddingVisitor, &[u32])> EmbeddingVisitor for Leaves<'_, F> {
+    fn visit(&mut self, phi: &[u32]) {
+        (self.leaf)(self.inner, phi)
+    }
+
+    fn tail(&mut self, partial: &[u32], used: &[bool]) -> bool {
+        self.inner.tail(partial, used)
     }
 }
 
